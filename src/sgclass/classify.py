@@ -134,8 +134,7 @@ def _yesno(b):
 def explain(verdict: ClosednessVerdict) -> str:
     """Deterministic multi-line report for one verdict."""
     p = verdict.profile
-    d = verdict.descriptor
-    lines = ["input: %s" % describe(d)]
+    lines = ["input: %s" % describe(verdict.descriptor)]
     if p.size is not None:
         lines.append("cardinality: finite (n=%d)" % p.size)
         lines.append("finite => all properties hold")
@@ -154,12 +153,9 @@ def explain(verdict: ClosednessVerdict) -> str:
     lines.append("singleton square: %s (%s)"
                  % (_yesno(p.has_singleton_square),
                     p.witness["has_singleton_square"]))
-    if isinstance(d, Group):
-        c_cite = _THEOREM_TEXT[CITE_GROUP]
-        q_cite = _THEOREM_TEXT[CITE_GROUP]
-    elif isinstance(d, Semilattice):
-        c_cite = _THEOREM_TEXT[CITE_SEMILATTICE]
-        q_cite = _THEOREM_TEXT[CITE_SEMILATTICE]
+    # the specializations prove all three verdicts by one theorem
+    if verdict.citation in (CITE_GROUP, CITE_SEMILATTICE):
+        c_cite = q_cite = _THEOREM_TEXT[verdict.citation]
     else:
         c_cite = _THEOREM_TEXT[CITE_MAIN]
         q_cite = _THEOREM_TEXT[CITE_PROJECTIVE]

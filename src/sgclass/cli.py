@@ -22,15 +22,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .classify import classify, explain
 from .core import (CayleyTable, MalformedTableError, PreconditionError,
                    center, clifford_part, h_class, idempotents,
                    max_chain_length, natural_le, pi_map, validate)
-from .descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Factor,
-                          FinitePoset, FiniteTable, Group, GroupSpec, Null,
-                          OmegaAntichainZero, OmegaChain, Product,
-                          Semilattice, Taimanov, describe)
+from .descriptors import (CONSTRUCTORS, OMEGA, SEMILATTICE_WORDS, Factor,
+                          FinitePoset, FiniteTable, Group, GroupSpec,
+                          Semilattice, describe, spell)
 from .harness import (SUITE_CHECK_NAMES, enumerate_commutative,
                       kernel_backend, lemma_suite)
 from .power import power_semigroup
@@ -125,6 +125,13 @@ def load_table_file(path, require_associative=True) -> CayleyTable:
 
 
 # -- descriptor expressions --------------------------------------------------
+
+# Deepest descriptor nesting the parser accepts.  Parsing, evaluation and
+# rendering recurse once per level, the dataclass ==, hash() and repr() up
+# to three times, so every accepted descriptor stays well inside the
+# interpreter's default recursion limit of 1000.
+MAX_DEPTH = 200
+
 
 class _Tokens:
     def __init__(self, text):
@@ -235,16 +242,24 @@ def _parse_slspec(tk, loader):
         except (OSError, ValueError) as exc:
             raise DescriptorSyntaxError(str(exc), pline, pcol)
     tok, line, col = tk.atom("semilattice spec")
-    if tok == "chain-omega":
-        return OmegaChain()
-    if tok == "antichain-omega-zero":
-        return OmegaAntichainZero()
+    if tok in SEMILATTICE_WORDS:
+        return SEMILATTICE_WORDS[tok]()
     raise DescriptorSyntaxError("unknown semilattice spec %r" % tok, line, col)
 
 
-def _parse_desc(tk, loader):
+def _parse_desc(tk, loader, depth=1):
     _, line, col = tk.expect("(")
+    if depth > MAX_DEPTH:
+        raise DescriptorSyntaxError("descriptor nested deeper than %d levels"
+                                    % MAX_DEPTH, line, col)
     head, hline, hcol = tk.atom("constructor")
+    cls = CONSTRUCTORS.get(head)
+    if cls is not None:
+        children = []
+        for _ in fields(cls):
+            children.append(_parse_desc(tk, loader, depth + 1))
+        tk.expect(")")
+        return cls(*children)
     if head == "table":
         path, pline, pcol = tk.atom("table path")
         tk.expect(")")
@@ -265,25 +280,6 @@ def _parse_desc(tk, loader):
         spec = _parse_slspec(tk, loader)
         tk.expect(")")
         return Semilattice(spec)
-    if head == "product":
-        left = _parse_desc(tk, loader)
-        right = _parse_desc(tk, loader)
-        tk.expect(")")
-        return Product(left, right)
-    if head == "adjoin-zero":
-        inner = _parse_desc(tk, loader)
-        tk.expect(")")
-        return AdjoinZero(inner)
-    if head == "adjoin-identity":
-        inner = _parse_desc(tk, loader)
-        tk.expect(")")
-        return AdjoinIdentity(inner)
-    if head == "taimanov":
-        tk.expect(")")
-        return Taimanov()
-    if head == "null":
-        tk.expect(")")
-        return Null()
     raise DescriptorSyntaxError("unknown constructor %r" % head, hline, hcol)
 
 
@@ -299,35 +295,16 @@ def parse_descriptor(text, loader=None):
     return desc
 
 
+def _render_leaf(x):
+    word = "poset" if isinstance(x, FinitePoset) else "table"
+    if x.path is None:
+        raise ValueError("cannot render a %s descriptor without a path" % word)
+    return "(%s %s)" % (word, x.path)
+
+
 def render_descriptor(d) -> str:
     """Canonical text for a parsed descriptor; fixed under parse+render."""
-    if isinstance(d, FiniteTable):
-        if d.path is None:
-            raise ValueError("cannot render a table descriptor without a path")
-        return "(table %s)" % d.path
-    if isinstance(d, Group):
-        return "(group %s)" % " ".join(f.text() for f in d.spec.factors)
-    if isinstance(d, Semilattice):
-        s = d.spec
-        if isinstance(s, OmegaChain):
-            return "(semilattice chain-omega)"
-        if isinstance(s, OmegaAntichainZero):
-            return "(semilattice antichain-omega-zero)"
-        if s.path is None:
-            raise ValueError("cannot render a poset descriptor without a path")
-        return "(semilattice (poset %s))" % s.path
-    if isinstance(d, Product):
-        return "(product %s %s)" % (render_descriptor(d.left),
-                                    render_descriptor(d.right))
-    if isinstance(d, AdjoinZero):
-        return "(adjoin-zero %s)" % render_descriptor(d.inner)
-    if isinstance(d, AdjoinIdentity):
-        return "(adjoin-identity %s)" % render_descriptor(d.inner)
-    if isinstance(d, Taimanov):
-        return "(taimanov)"
-    if isinstance(d, Null):
-        return "(null)"
-    raise TypeError("not a descriptor: %r" % (d,))
+    return spell(d, _render_leaf)
 
 
 # -- commands ----------------------------------------------------------------

@@ -136,10 +136,6 @@ def validate(table: CayleyTable) -> ValidationReport:
                             assoc_witness, comm_witness)
 
 
-def is_commutative(table):
-    return validate(table).commutative
-
-
 def idempotents(table) -> frozenset:
     """The fixed points of squaring."""
     return frozenset(x for x in table.elements if table.op[x][x] == x)

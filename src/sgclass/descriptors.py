@@ -11,7 +11,7 @@ subsemigroups used to cross-check those rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 from .core import (CayleyTable, adjoin_identity, adjoin_zero,
@@ -168,30 +168,54 @@ class Null(Descriptor):
     """Countably infinite carrier with every product equal to one zero."""
 
 
-def describe(d) -> str:
-    """Compact human-readable form (no file paths needed)."""
+# -- syntax ------------------------------------------------------------------
+# One head keyword per constructor whose children are all descriptors: the
+# children are the dataclass fields, in order.  The parser, the renderer and
+# `describe` all read these two tables.
+
+CONSTRUCTORS = {
+    "product": Product,
+    "adjoin-zero": AdjoinZero,
+    "adjoin-identity": AdjoinIdentity,
+    "taimanov": Taimanov,
+    "null": Null,
+}
+_HEADS = {cls: head for head, cls in CONSTRUCTORS.items()}
+
+SEMILATTICE_WORDS = {
+    "chain-omega": OmegaChain,
+    "antichain-omega-zero": OmegaAntichainZero,
+}
+_WORDS = {cls: word for word, cls in SEMILATTICE_WORDS.items()}
+
+
+def spell(d, leaf) -> str:
+    """Descriptor text; `leaf` spells FiniteTable and FinitePoset leaves."""
+    head = _HEADS.get(type(d))
+    if head is not None:
+        parts = [head]
+        for f in fields(d):
+            parts.append(spell(getattr(d, f.name), leaf))
+        return "(%s)" % " ".join(parts)
     if isinstance(d, FiniteTable):
-        return d.path if d.path else "finite table (n=%d)" % d.table.n
+        return leaf(d)
     if isinstance(d, Group):
         return "(group %s)" % " ".join(f.text() for f in d.spec.factors)
     if isinstance(d, Semilattice):
-        s = d.spec
-        if isinstance(s, OmegaChain):
-            return "(semilattice chain-omega)"
-        if isinstance(s, OmegaAntichainZero):
-            return "(semilattice antichain-omega-zero)"
-        return "(semilattice poset n=%d)" % s.table.n
-    if isinstance(d, Product):
-        return "(product %s %s)" % (describe(d.left), describe(d.right))
-    if isinstance(d, AdjoinZero):
-        return "(adjoin-zero %s)" % describe(d.inner)
-    if isinstance(d, AdjoinIdentity):
-        return "(adjoin-identity %s)" % describe(d.inner)
-    if isinstance(d, Taimanov):
-        return "(taimanov)"
-    if isinstance(d, Null):
-        return "(null)"
+        word = _WORDS.get(type(d.spec))
+        return "(semilattice %s)" % (word if word else leaf(d.spec))
     raise TypeError("not a descriptor: %r" % (d,))
+
+
+def _describe_leaf(x):
+    if isinstance(x, FinitePoset):
+        return "poset n=%d" % x.table.n
+    return x.path if x.path else "finite table (n=%d)" % x.table.n
+
+
+def describe(d) -> str:
+    """Compact human-readable form (no file paths needed)."""
+    return spell(d, _describe_leaf)
 
 
 @dataclass
@@ -221,31 +245,7 @@ class PredicateProfile:
 
 def cardinality(d) -> Optional[int]:
     """Element count, or None for countably infinite."""
-    if isinstance(d, FiniteTable):
-        return d.table.n
-    if isinstance(d, Group):
-        total = 1
-        for f in d.spec.factors:
-            if f.kind != "cyclic":
-                return None
-            if f.param == 1:
-                continue
-            if f.mult == OMEGA:
-                return None
-            total *= f.param ** f.mult
-        return total
-    if isinstance(d, Semilattice):
-        return d.spec.table.n if isinstance(d.spec, FinitePoset) else None
-    if isinstance(d, Product):
-        a = cardinality(d.left)
-        b = cardinality(d.right)
-        return a * b if a is not None and b is not None else None
-    if isinstance(d, (AdjoinZero, AdjoinIdentity)):
-        a = cardinality(d.inner)
-        return a + 1 if a is not None else None
-    if isinstance(d, (Taimanov, Null)):
-        return None
-    raise TypeError("not a descriptor: %r" % (d,))
+    return _evaluate(d).size
 
 
 def _finite_profile(size, exponent, clifford, why):
@@ -257,7 +257,14 @@ def _finite_profile(size, exponent, clifford, why):
 
 
 def _group_profile(spec):
-    size = cardinality(Group(spec))
+    size = 1
+    for f in spec.factors:
+        if f.param == 1:
+            continue  # trivial factors add nothing, even omega many
+        if f.kind != "cyclic" or f.mult == OMEGA:
+            size = None
+            break
+        size *= f.param ** f.mult
     w = {"cardinality": "finite group" if size is not None else
          "some factor is infinite"}
     bad_periodic = next((f for f in spec.factors if f.kind == "integers"), None)
@@ -307,14 +314,14 @@ def _semilattice_profile(spec):
     return PredicateProfile(size, True, cf, True, 1, True, True, False, w)
 
 
-def _combine_and(name, pl, pr, wl, wr, out_w):
+def _combine_and(name, pl, pr, out_w):
     left = getattr(pl, name)
     right = getattr(pr, name)
     if left and right:
         out_w[name] = "holds in both factors"
     else:
-        side, w = ("left", wl) if not left else ("right", wr)
-        out_w[name] = "%s factor: %s" % (side, w[name])
+        side, p = ("left", pl) if not left else ("right", pr)
+        out_w[name] = "%s factor: %s" % (side, p.witness[name])
     return left and right
 
 
@@ -387,10 +394,9 @@ def _evaluate(d):
                             else "an infinite factor")
         # a product is periodic / chain-finite / bounded iff both factors
         # are: powers, chains and subgroups project coordinatewise
-        periodic = _combine_and("periodic", pl, pr, pl.witness, pr.witness, w)
-        cf = _combine_and("chain_finite", pl, pr, pl.witness, pr.witness, w)
-        bounded = _combine_and("subgroups_bounded", pl, pr, pl.witness,
-                               pr.witness, w)
+        periodic = _combine_and("periodic", pl, pr, w)
+        cf = _combine_and("chain_finite", pl, pr, w)
+        bounded = _combine_and("subgroups_bounded", pl, pr, w)
         exponent = (math.lcm(pl.exponent, pr.exponent) if bounded else None)
         cliff = pl.clifford and pr.clifford
         w["clifford"] = ("both factors Clifford" if cliff else
@@ -517,14 +523,11 @@ def truncate(d, size_budget) -> CayleyTable:
         a = truncate(d.left, size_budget)
         b = truncate(d.right, max(1, size_budget // a.n))
         return product_table(a, b)
-    if isinstance(d, AdjoinZero):
+    if isinstance(d, (AdjoinZero, AdjoinIdentity)):
         if size_budget == 1:
             return null_table(1)
-        return adjoin_zero(truncate(d.inner, size_budget - 1))
-    if isinstance(d, AdjoinIdentity):
-        if size_budget == 1:
-            return null_table(1)
-        return adjoin_identity(truncate(d.inner, size_budget - 1))
+        adjoin = adjoin_zero if isinstance(d, AdjoinZero) else adjoin_identity
+        return adjoin(truncate(d.inner, size_budget - 1))
     if isinstance(d, Taimanov):
         return taimanov_table(size_budget)
     if isinstance(d, Null):

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import _kernel
 from .core import (CayleyTable, h_class, idempotents, natural_le, pi_map,
-                   root_inf, z_sets)
+                   root_inf, validate, z_sets)
 from .quotients import congruences, lift_idempotent, quotient_by_congruence
 
 MAX_ENUM_ORDER = 5
@@ -48,25 +48,11 @@ def enumerate_commutative_naive(n):
     """Independent oracle: filter all n^(n*n) tables directly."""
     if not isinstance(n, int) or not 1 <= n <= MAX_NAIVE_ORDER:
         raise ValueError("naive enumeration is limited to 1..%d" % MAX_NAIVE_ORDER)
-    rng = range(n)
-    for values in product(rng, repeat=n * n):
-        rows = [values[i * n:(i + 1) * n] for i in rng]
-        if any(rows[x][y] != rows[y][x] for x in rng for y in rng):
-            continue
-        ok = True
-        for x in rng:
-            for y in rng:
-                xy = rows[x][y]
-                for z in rng:
-                    if rows[xy][z] != rows[x][rows[y][z]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield CayleyTable(rows)
+    for values in product(range(n), repeat=n * n):
+        table = CayleyTable([values[i * n:(i + 1) * n] for i in range(n)])
+        report = validate(table)
+        if report.associative and report.commutative:
+            yield table
 
 
 def iso_class_count(tables) -> int:

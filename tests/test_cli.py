@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from sgclass.cli import (DescriptorSyntaxError, TableParseError, main,
-                         parse_descriptor, parse_table, render_descriptor,
-                         render_table)
+import sgclass
+from sgclass.cli import (MAX_DEPTH, DescriptorSyntaxError, TableParseError,
+                         main, parse_descriptor, parse_table,
+                         render_descriptor, render_table)
 from sgclass.core import chain_table, cyclic_table, taimanov_table
 from sgclass.descriptors import (OMEGA, Factor, FiniteTable, Group, Null,
                                  Product, Semilattice, Taimanov)
@@ -314,3 +318,48 @@ class TestCommands:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["analyze", "/nonexistent/nowhere.tbl"]) == 2
+
+
+def nested(depth, head="adjoin-zero", leaf="(null)"):
+    """A descriptor `depth` levels deep: `head` wrapped around one leaf."""
+    return "(%s " % head * (depth - 1) + leaf + ")" * (depth - 1)
+
+
+class TestDepthGuard:
+    @pytest.mark.parametrize("head", ["adjoin-zero", "adjoin-identity"])
+    def test_deepest_accepted_nesting_classifies(self, head, capsys):
+        expr = nested(MAX_DEPTH, head)
+        assert main(["classify", expr]) == 0
+        assert "C-closed: no" in capsys.readouterr().out
+        assert main(["classify", expr, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["c_closed"] is False
+        d = parse_descriptor(expr)
+        assert render_descriptor(d) == expr
+        assert d == parse_descriptor(expr)
+        assert hash(d) == hash(parse_descriptor(expr))
+        assert repr(d).count("(") == MAX_DEPTH
+
+    def test_deepest_accepted_product_nesting_classifies(self, capsys):
+        expr = nested(MAX_DEPTH, "product (taimanov)", "(group (cyclic 2))")
+        assert main(["classify", expr, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ideally_closed"] is False
+
+    def test_one_level_deeper_is_a_syntax_error(self):
+        expr = nested(MAX_DEPTH + 1)
+        column = len("(adjoin-zero ") * MAX_DEPTH + 1
+        with pytest.raises(DescriptorSyntaxError,
+                           match="line 1, column %d: .*deeper than %d"
+                           % (column, MAX_DEPTH)):
+            parse_descriptor(expr)
+
+    def test_1200_levels_exit_two_without_traceback(self):
+        src = os.path.dirname(os.path.dirname(sgclass.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for extra in ([], ["--json"]):
+            run = subprocess.run(
+                [sys.executable, "-m", "sgclass", "classify", nested(1201)]
+                + extra, capture_output=True, text=True, env=env)
+            assert run.returncode == 2
+            assert run.stderr.startswith("error:")
+            assert "Traceback" not in run.stderr
+            assert run.stdout == ""
