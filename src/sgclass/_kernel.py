@@ -1,19 +1,131 @@
-"""Kernel selector: the compiled enumeration core when built, else the
-pure-Python twin.  Set SGCLASS_PURE=1 to force the fallback."""
+"""Enumeration kernel.  Tables travel as flat row-major tuples.
 
-import os
+One backtracking walk yields either every labeled commutative associative
+table or, by orderly generation (Read, "Every one a winner", 1978), only
+the tables that are lexicographically least among their relabelings: one
+per isomorphism class.
+"""
 
-if os.environ.get("SGCLASS_PURE"):
-    from . import _enum_py as impl
-    BACKEND = "python"
-else:
-    try:
-        from . import _enum_cy as impl  # built by setup.py when Cython is present
-        BACKEND = "cython"
-    except ImportError:
-        from . import _enum_py as impl
-        BACKEND = "python"
+from itertools import chain, permutations
 
-commutative_tables = impl.commutative_tables
-is_canonical = impl.is_canonical
-canonical_form = impl.canonical_form
+_RELABELINGS = {}
+
+
+def _relabelings(n):
+    """(perm, src) for every non-identity relabeling of 0..n-1.
+
+    The relabeled image of a flat table f has perm[f[src[k]]] at flat index k.
+    """
+    if n not in _RELABELINGS:
+        out = []
+        for perm in permutations(range(n)):
+            if perm == tuple(range(n)):
+                continue
+            inv = [0] * n
+            for a, b in enumerate(perm):
+                inv[b] = a
+            out.append((perm, tuple(inv[i] * n + inv[j]
+                                    for i in range(n) for j in range(n))))
+        _RELABELINGS[n] = tuple(out)
+    return _RELABELINGS[n]
+
+
+def commutative_tables(n, lex_least=False):
+    """All commutative associative tables on 0..n-1, as flat tuples.
+
+    Backtracking over the upper-triangle cells in row-major order with
+    value order 0..n-1, so the output order is deterministic.  After each
+    assignment only the triples that read the new cell are checked.
+
+    With lex_least, each completed row is tested by `is_canonical`, and a
+    table some relabeling already beats is cut with its whole subtree.  The
+    output is then exactly the labeled output filtered by
+    `canonical_form(f, n) == f`, in the same order.
+    """
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    ncells = len(cells)
+    op = [[-1] * n for _ in range(n)]
+    rng = range(n)
+    out = []
+
+    def consistent(i, j, v):
+        # A triple (x, y, z) is checked once its cells xy, yz, (xy)z and
+        # x(yz) are all set, so the new cell needs checking only in those
+        # four roles.  By commutativity the triple (z, y, x) states the same
+        # equation, which makes the yz role a mirror of the xy role and the
+        # x(yz) role a mirror of the (xy)z role; both orientations of the
+        # cell are tried.
+        rv = op[v]
+        for p, q in ((i, j),) if i == j else ((i, j), (j, i)):
+            rp, rq = op[p], op[q]
+            # the cell as xy: (pq)z = vz against p(qz)
+            for z in rng:
+                a = rv[z]
+                if a >= 0:
+                    qz = rq[z]
+                    if qz >= 0:
+                        b = rp[qz]
+                        if b >= 0 and b != a:
+                            return False
+            # the cell as (xy)z with xy = p: (xy)q = v against x(yq)
+            for x in rng:
+                rx = op[x]
+                for y in rng:
+                    if rx[y] == p:
+                        yq = op[y][q]
+                        if yq >= 0:
+                            b = rx[yq]
+                            if b >= 0 and b != v:
+                                return False
+        return True
+
+    def fill(k):
+        if k == ncells:
+            out.append(tuple(chain.from_iterable(op)))
+            return
+        i, j = cells[k]
+        row_done = lex_least and j == n - 1
+        for v in rng:
+            op[i][j] = v
+            op[j][i] = v
+            if not consistent(i, j, v):
+                continue
+            if row_done and not is_canonical(list(chain.from_iterable(op)),
+                                             n, i + 1):
+                continue
+            fill(k + 1)
+        op[i][j] = -1
+        op[j][i] = -1
+
+    fill(0)
+    return out
+
+
+def is_canonical(flat, n, rows):
+    """False iff some relabeling is lex-smaller than the table.
+
+    Only rows 0..rows-1 need be set (rows = n for a whole table); unset
+    cells are -1.  A relabeled image is compared with the table in
+    row-major order over those rows and counts as undecided at its first
+    unset cell, so a False answer holds for every completion of a partial
+    table.
+    """
+    end = rows * n
+    for perm, src in _relabelings(n):
+        for k in range(end):
+            a = flat[src[k]]
+            if a < 0:
+                break
+            v = perm[a]
+            w = flat[k]
+            if v != w:
+                if v < w:
+                    return False
+                break
+    return True
+
+
+def canonical_form(flat, n):
+    """Lexicographically least relabeling of the table."""
+    return min([tuple(flat)] + [tuple(perm[flat[s]] for s in src)
+                                for perm, src in _relabelings(n)])

@@ -28,8 +28,8 @@ from .classify import classify, explain
 from .core import (CayleyTable, MalformedTableError, PreconditionError,
                    center, clifford_part, h_class, idempotents,
                    max_chain_length, natural_le, pi_map, validate)
-from .descriptors import (CONSTRUCTORS, OMEGA, SEMILATTICE_WORDS, Factor,
-                          FinitePoset, FiniteTable, Group, GroupSpec,
+from .descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA, SEMILATTICE_WORDS,
+                          Factor, FinitePoset, FiniteTable, Group, GroupSpec,
                           Semilattice, describe, spell)
 from .harness import (SUITE_CHECK_NAMES, enumerate_commutative,
                       kernel_backend, lemma_suite)
@@ -125,13 +125,6 @@ def load_table_file(path, require_associative=True) -> CayleyTable:
 
 
 # -- descriptor expressions --------------------------------------------------
-
-# Deepest descriptor nesting the parser accepts.  Parsing, evaluation and
-# rendering recurse once per level, the dataclass ==, hash() and repr() up
-# to three times, so every accepted descriptor stays well inside the
-# interpreter's default recursion limit of 1000.
-MAX_DEPTH = 200
-
 
 class _Tokens:
     def __init__(self, text):

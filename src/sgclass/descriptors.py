@@ -112,8 +112,26 @@ class OmegaAntichainZero(SemilatticeSpec):
     """Infinitely many pairwise incomparable elements above one bottom."""
 
 
+# Deepest descriptor nesting accepted.  Parsing, evaluation and rendering
+# recurse once per level, the dataclass ==, hash() and repr() up to three
+# times, so every descriptor stays well inside the interpreter's default
+# recursion limit of 1000.
+MAX_DEPTH = 200
+
+
 class Descriptor:
-    pass
+    """Base of the constructors.  Each node knows its nesting depth (a leaf
+    is 1) as the attribute `depth`, kept outside the dataclass fields so
+    that ==, hash() and repr() ignore it."""
+
+    def __post_init__(self):
+        children = [getattr(self, f.name) for f in fields(self)]
+        depth = 1 + max((c.depth for c in children
+                         if isinstance(c, Descriptor)), default=0)
+        if depth > MAX_DEPTH:
+            raise ValueError("descriptor nested deeper than %d levels"
+                             % MAX_DEPTH)
+        object.__setattr__(self, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -122,6 +140,7 @@ class FiniteTable(Descriptor):
     path: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         report = validate(self.table)
         if not report.associative:
             raise ValueError("table is not associative: witness %r"

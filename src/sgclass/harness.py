@@ -1,9 +1,9 @@
 """Exhaustive small-order enumerator plus the property-verification suite.
 
-The backtracking enumerator (compiled kernel when available) is
-cross-checked against a naive filter over all tables at orders <= 3; the
-suite then asserts the structural facts every commutative table must
-satisfy, which is the acceptance backbone for everything built on top.
+The backtracking enumerator is cross-checked against a naive filter over
+all tables at orders <= 3; the suite then asserts the structural facts
+every commutative table must satisfy, which is the acceptance backbone for
+everything built on top.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ MAX_NAIVE_ORDER = 3
 
 
 def kernel_backend() -> str:
-    return _kernel.BACKEND
+    """The enumeration kernel in use; the only one is pure Python."""
+    return "python"
 
 
 def _unflatten(flat, n):
@@ -33,14 +34,13 @@ def enumerate_commutative(n, up_to_iso=False):
     """Every commutative associative table of order n, exactly once.
 
     With up_to_iso, only tables equal to their own canonical (lex-least)
-    relabeling are emitted, one per isomorphism class.  Order of emission
-    is deterministic.
+    relabeling are emitted, one per isomorphism class; they are generated
+    orderly, without building the other labeled tables.  Order of emission
+    is deterministic, and the same as the labeled order.
     """
     if not isinstance(n, int) or not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError("order must be an integer in 1..%d" % MAX_ENUM_ORDER)
-    for flat in _kernel.commutative_tables(n):
-        if up_to_iso and not _kernel.is_canonical(flat, n):
-            continue
+    for flat in _kernel.commutative_tables(n, lex_least=up_to_iso):
         yield _unflatten(flat, n)
 
 

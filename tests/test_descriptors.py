@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from sgclass import (antichain_zero_table, chain_table, cyclic_table,
                      group_exponent, idempotents, max_chain_length,
                      null_table, product_table, taimanov_table, validate)
-from sgclass.descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Factor,
-                                 FinitePoset, FiniteTable, Group, GroupSpec,
-                                 Null, OmegaAntichainZero, OmegaChain,
-                                 Product, Semilattice, Taimanov, cardinality,
-                                 evaluate, is_prime, truncate)
+from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
+                                 Factor, FinitePoset, FiniteTable, Group,
+                                 GroupSpec, Null, OmegaAntichainZero,
+                                 OmegaChain, Product, Semilattice, Taimanov,
+                                 cardinality, describe, evaluate, is_prime,
+                                 truncate)
 from sgclass.harness import singleton_square_scan
 
 
@@ -75,6 +76,32 @@ class TestValidation:
     def test_poset_must_be_idempotent(self, z3):
         with pytest.raises(ValueError, match="not idempotent"):
             FinitePoset(z3)
+
+
+class TestDepthLimit:
+    def test_deepest_chain_built_in_python_works(self):
+        d = Null()
+        for _ in range(MAX_DEPTH - 1):
+            d = AdjoinZero(d)
+        assert d.depth == MAX_DEPTH
+        assert d == AdjoinZero(d.inner) and hash(d) == hash(AdjoinZero(d.inner))
+        assert repr(d).count("(") == MAX_DEPTH
+        assert describe(d).count("(") == MAX_DEPTH
+        assert evaluate(d).size is None
+        assert truncate(d, 3).n == 3
+
+    def test_one_level_deeper_is_rejected_at_construction(self):
+        d = Null()
+        for _ in range(MAX_DEPTH - 1):
+            d = AdjoinZero(d)
+        with pytest.raises(ValueError, match="deeper than %d" % MAX_DEPTH):
+            AdjoinZero(d)
+        with pytest.raises(ValueError, match="deeper than %d" % MAX_DEPTH):
+            Product(Taimanov(), d)
+
+    def test_depth_is_not_a_field(self):
+        assert Product(Null(), AdjoinZero(Null())).depth == 3
+        assert repr(AdjoinZero(Null())) == "AdjoinZero(inner=Null())"
 
 
 class TestCardinality:

@@ -1,17 +1,12 @@
 import pytest
 
-from sgclass import _enum_py
 from sgclass import _kernel
+from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import CayleyTable, cyclic_table, taimanov_table, validate
 from sgclass.harness import (enumerate_commutative, enumerate_commutative_naive,
                              iso_class_count, lemma_suite,
                              singleton_square_scan)
 from sgclass.quotients import rees_quotient
-
-try:
-    from sgclass import _enum_cy
-except ImportError:
-    _enum_cy = None
 
 
 class TestEnumerator:
@@ -78,28 +73,37 @@ class TestEnumerator:
             assert as_rows in reps
 
 
-@pytest.mark.skipif(_enum_cy is None, reason="compiled kernel not built")
-class TestKernelTwins:
-    def test_same_tables(self):
+class TestOrderlyGeneration:
+    def test_equals_filtered_labeled_output(self):
         for n in (1, 2, 3, 4):
-            assert _enum_cy.commutative_tables(n) == \
-                _enum_py.commutative_tables(n)
+            filtered = [f for f in commutative_tables(n)
+                        if canonical_form(f, n) == f]
+            assert commutative_tables(n, lex_least=True) == filtered
 
-    def test_same_canonical_decisions(self):
-        for n in (2, 3):
-            for flat in _enum_cy.commutative_tables(n):
-                assert _enum_cy.is_canonical(flat, n) == \
-                    _enum_py.is_canonical(flat, n)
-                assert _enum_cy.canonical_form(flat, n) == \
-                    _enum_py.canonical_form(flat, n)
+    def test_every_emitted_table_is_canonical(self):
+        for n in (1, 2, 3, 4, 5):
+            for f in commutative_tables(n, lex_least=True):
+                assert canonical_form(f, n) == f
 
-    def test_canonical_form_properties(self):
-        n = 3
-        for flat in _enum_cy.commutative_tables(n)[::5]:
-            canon = _enum_cy.canonical_form(flat, n)
-            assert canon <= flat
-            assert _enum_cy.is_canonical(canon, n)
-            assert _enum_cy.canonical_form(canon, n) == canon
+    def test_one_table_per_class_in_sorted_order(self):
+        # the walk fills cells in row-major order with ascending values, so
+        # both outputs come out sorted
+        for n in (2, 3, 4):
+            labeled = commutative_tables(n)
+            assert labeled == sorted(set(labeled))
+            assert commutative_tables(n, lex_least=True) == \
+                sorted({canonical_form(f, n) for f in labeled})
+
+    def test_a_beaten_prefix_has_no_canonical_completion(self):
+        # rows 0..1 of the order-3 table below: swapping 1 and 2 turns row 0
+        # into (0, 0, 1), which is smaller, so no completion is lex-least
+        prefix = [0, 1, 0, 1, 1, 1, 0, 1, -1]
+        assert not _kernel.is_canonical(prefix, 3, 2)
+        for v in range(3):
+            full = tuple(prefix[:8]) + (v,)
+            assert canonical_form(full, 3) != full
+        # an unset image cell leaves the prefix undecided
+        assert _kernel.is_canonical([0, 0, 0, 0, 1, -1, 0, -1, -1], 3, 1)
 
 
 class TestLemmaSuite:
