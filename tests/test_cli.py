@@ -94,6 +94,17 @@ class TestParseDescriptor:
         with pytest.raises(DescriptorSyntaxError, match="line 1, column 2"):
             parse_descriptor("(frobnicate)")
 
+    @pytest.mark.parametrize("text,message", [
+        ("(product\n\t(null)\r\n  (bogus))",
+         "line 3, column 4: unknown constructor 'bogus'"),
+        ("(product\n (null)\n", "line 3, column 1: unexpected end of input"),
+        ("(adjoin-zero (null)) \n  x", "line 2, column 3: trailing input 'x'"),
+    ])
+    def test_error_positions_past_the_first_line(self, text, message):
+        with pytest.raises(DescriptorSyntaxError) as exc:
+            parse_descriptor(text)
+        assert str(exc.value) == message
+
     def test_arity_errors(self):
         with pytest.raises(DescriptorSyntaxError, match="at least one factor"):
             parse_descriptor("(group)")

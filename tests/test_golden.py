@@ -1,15 +1,24 @@
-"""Byte-for-byte pins of `classify` output and descriptor rendering.
+"""Byte-for-byte pins of `classify`, `analyze` and `power` output and of
+descriptor rendering.
 
 For every expression in CASES, golden_classify.json holds the canonical
 rendering and the exact stdout of `sgclass classify EXPR`, as text and as
 `--json`.  Table leaves name files by relative path, so the reports do not
-depend on where the tests run.  Regenerate the file only when the output is
-meant to change, and review the difference:
+depend on where the tests run.
+
+golden_tables.json holds, for every table in TABLES (one per isomorphism
+class of order <= 4, plus five order-8 formula tables), its rows and the
+sha256 of the stdout of `analyze FILE` and `analyze FILE --json`, and for
+tables of order <= 3 also of `power FILE --json`.
+
+Regenerate the files only when the output is meant to change, and review
+the difference:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,9 +28,13 @@ import tempfile
 import pytest
 
 from sgclass.cli import main, parse_descriptor, render_descriptor, render_table
-from sgclass.core import chain_table, cyclic_table, taimanov_table
+from sgclass.core import (CayleyTable, adjoin_zero, antichain_zero_table,
+                          chain_table, cyclic_table, null_table,
+                          taimanov_table)
+from sgclass.harness import enumerate_commutative
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_classify.json")
+GOLDEN_TABLES = pathlib.Path(__file__).with_name("golden_tables.json")
 
 FILES = {
     "L3.tbl": chain_table(3),
@@ -62,12 +75,16 @@ def write_files(directory):
         (directory / name).write_text(render_table(table))
 
 
-def classify_stdout(argv):
+def stdout_of(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["classify"] + argv)
+        code = main(argv)
     assert code == 0, argv
     return out.getvalue()
+
+
+def classify_stdout(argv):
+    return stdout_of(["classify"] + argv)
 
 
 def outputs(expr):
@@ -78,14 +95,45 @@ def outputs(expr):
     }
 
 
+def _tables():
+    tables = {}
+    for n in range(1, 5):
+        for i, t in enumerate(enumerate_commutative(n, up_to_iso=True)):
+            tables["order%d_%02d" % (n, i)] = t
+    tables.update({
+        "null8": null_table(8),
+        "chain8": chain_table(8),
+        "taimanov8": taimanov_table(8),
+        "antichain_zero8": antichain_zero_table(8),
+        "adjoin_zero_cyclic7": adjoin_zero(cyclic_table(7)),
+    })
+    return tables
+
+
+TABLES = _tables()
+
+
+def table_digests(name, rows, directory):
+    path = directory / ("%s.tbl" % name)
+    path.write_text(render_table(CayleyTable(rows)))
+    commands = {"analyze": ["analyze", path.name],
+                "analyze --json": ["analyze", path.name, "--json"]}
+    if len(rows) <= 3:
+        commands["power --json"] = ["power", path.name, "--json"]
+    out = {"table": [list(r) for r in rows]}
+    for key, argv in commands.items():
+        out[key] = hashlib.sha256(stdout_of(argv).encode()).hexdigest()
+    return out
+
+
 @pytest.fixture
 def table_dir(tmp_path, monkeypatch):
     write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
 
 
-def _golden():
-    with open(GOLDEN, encoding="utf-8") as fh:
+def _golden(path=GOLDEN):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -98,16 +146,38 @@ def test_classify_and_render_bytes(expr, table_dir):
     assert outputs(expr) == _golden()[expr]
 
 
+def test_table_golden_file_covers_exactly_the_tables():
+    golden = _golden(GOLDEN_TABLES)
+    assert sorted(golden) == sorted(TABLES)
+    for name, table in TABLES.items():
+        assert golden[name]["table"] == [list(r) for r in table.op], name
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_analyze_and_power_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = _golden(GOLDEN_TABLES)[name]
+    assert table_digests(name, want["table"], tmp_path) == want
+
+
+def _write_golden(path, golden):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1)
+        fh.write("\n")
+    print("wrote %d cases to %s" % (len(golden), path))
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         here = os.getcwd()
-        write_files(pathlib.Path(work))
+        work = pathlib.Path(work)
+        write_files(work)
         os.chdir(work)
         try:
             golden = {expr: outputs(expr) for expr in CASES}
+            tables = {name: table_digests(name, t.op, work)
+                      for name, t in TABLES.items()}
         finally:
             os.chdir(here)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1)
-        fh.write("\n")
-    print("wrote %d cases to %s" % (len(golden), GOLDEN))
+    _write_golden(GOLDEN, golden)
+    _write_golden(GOLDEN_TABLES, tables)
