@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -126,33 +127,22 @@ def load_table_file(path, require_associative=True) -> CayleyTable:
 
 # -- descriptor expressions --------------------------------------------------
 
+_TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")
+
+
 class _Tokens:
     def __init__(self, text):
         self.items = []
-        line, col, i = 1, 1, 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
+        line, line_start = 1, 0
+        for m in _TOKEN.finditer(text):
+            tok = m.group()
+            if tok == "\n":
                 line += 1
-                col = 1
-                i += 1
-            elif ch in " \t\r":
-                col += 1
-                i += 1
-            elif ch in "()":
-                self.items.append((ch, line, col))
-                col += 1
-                i += 1
+                line_start = m.end()
             else:
-                j = i
-                start = col
-                while j < len(text) and text[j] not in "() \t\r\n":
-                    j += 1
-                    col += 1
-                self.items.append((text[i:j], line, start))
-                i = j
+                self.items.append((tok, line, m.start() - line_start + 1))
         self.pos = 0
-        self.end = (line, col)
+        self.end = (line, len(text) - line_start + 1)
 
     def peek(self):
         return self.items[self.pos][0] if self.pos < len(self.items) else None

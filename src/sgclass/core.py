@@ -46,18 +46,6 @@ class CayleyTable:
         self.n = n
         self.op = rows
 
-    def mul(self, x, y):
-        return self.op[x][y]
-
-    def power(self, x, k):
-        """x to the k-th power, k >= 1."""
-        if k < 1:
-            raise PreconditionError("power exponent must be >= 1")
-        acc = x
-        for _ in range(k - 1):
-            acc = self.op[acc][x]
-        return acc
-
     @property
     def elements(self):
         return range(self.n)
@@ -95,6 +83,12 @@ class MonogenicData(NamedTuple):
 def _check_element(table, x, what="element"):
     if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < table.n:
         raise PreconditionError("%s %r out of range [0, %d)" % (what, x, table.n))
+
+
+def _check_idempotent(table, e):
+    _check_element(table, e)
+    if table.op[e][e] != e:
+        raise PreconditionError("element %d is not idempotent" % e)
 
 
 def _check_subset(table, subset):
@@ -143,13 +137,30 @@ def idempotents(table) -> frozenset:
 
 def natural_le(table, e, f) -> bool:
     """e <= f in the natural order on idempotents: ef = e."""
-    _check_element(table, e)
-    _check_element(table, f)
-    if table.op[e][e] != e:
-        raise PreconditionError("element %d is not idempotent" % e)
-    if table.op[f][f] != f:
-        raise PreconditionError("element %d is not idempotent" % f)
+    _check_idempotent(table, e)
+    _check_idempotent(table, f)
     return table.op[e][f] == e
+
+
+def _max_clique(verts, adj, best=()):
+    """The lexicographically least largest clique within the bitmask
+    `verts`, as an ascending tuple, if it is longer than `best`; else `best`.
+
+    adj[x] is the bitmask of the neighbours of x that follow x.  Branch and
+    bound in lexicographic order, so the first clique of a size is kept.
+    """
+    def extend(chosen, cands):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        while cands and len(chosen) + cands.bit_count() > len(best):
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
+            extend(chosen + (x,), cands & adj[x])
+
+    extend((), verts)
+    return best
 
 
 def max_chain_length(table) -> tuple:
@@ -162,29 +173,10 @@ def max_chain_length(table) -> tuple:
     """
     n = table.n
     op = table.op
-    best_size = 0
-    best = ()
-
-    def extend(chosen, start):
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
-        for x in range(start, n):
-            if len(chosen) + (n - x) <= best_size:
-                break
-            ok = True
-            for c in chosen:
-                if op[c][x] not in (c, x) or op[x][c] not in (c, x):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                extend(chosen, x + 1)
-                chosen.pop()
-
-    extend([], 0)
-    return best_size, frozenset(best)
+    adj = [sum(1 << y for y in range(x + 1, n)
+               if op[x][y] in (x, y) and op[y][x] in (x, y)) for x in range(n)]
+    best = _max_clique((1 << n) - 1, adj)
+    return len(best), frozenset(best)
 
 
 def center(table) -> frozenset:
@@ -225,24 +217,25 @@ def clifford_part(table) -> frozenset:
     return out
 
 
+def _powers(table, x):
+    """The distinct powers [x, x^2, ...] of x, in order."""
+    row = table.op[x]  # x^k x = x x^k by associativity
+    powers = [x]
+    acc = row[x]
+    while acc not in powers:
+        powers.append(acc)
+        acc = row[acc]
+    return powers
+
+
 def monogenic_data(table, x) -> MonogenicData:
     """Index, period and idempotent of the power sequence of x."""
     _check_element(table, x)
     op = table.op
-    powers = [x]
-    seen = {x: 1}
-    while True:
-        nxt = op[powers[-1]][x]
-        k = len(powers) + 1
-        if nxt in seen:
-            index = seen[nxt]
-            period = k - index
-            break
-        seen[nxt] = k
-        powers.append(nxt)
-    cycle = powers[index - 1:]
-    pi = next(e for e in cycle if op[e][e] == e)
-    return MonogenicData(index, period, pi)
+    powers = _powers(table, x)
+    start = powers.index(op[powers[-1]][x])
+    pi = next(e for e in powers[start:] if op[e][e] == e)
+    return MonogenicData(start + 1, len(powers) - start, pi)
 
 
 def pi_map(table) -> tuple:
@@ -262,26 +255,14 @@ def pi_map(table) -> tuple:
 def root_inf(table, subset) -> frozenset:
     """All x some positive power of which lands in the subset."""
     subset = _check_subset(table, subset)
-    op = table.op
-    out = []
-    for x in table.elements:
-        acc = x
-        seen = set()
-        while acc not in seen:
-            if acc in subset:
-                out.append(x)
-                break
-            seen.add(acc)
-            acc = op[acc][x]
-    return frozenset(out)
+    return frozenset([x for x in table.elements if x in subset
+                      or not subset.isdisjoint(_powers(table, x))])
 
 
 def z_sets(table, e, n_max) -> list:
     """Central elements whose k-th power lies in the maximal subgroup at e,
     for k = 1..n_max.  The returned sequence is ascending."""
-    _check_element(table, e)
-    if table.op[e][e] != e:
-        raise PreconditionError("element %d is not idempotent" % e)
+    _check_idempotent(table, e)
     if not isinstance(n_max, int) or n_max < 1:
         raise PreconditionError("n_max must be a positive integer")
     he = h_class(table, e)
@@ -297,20 +278,10 @@ def z_sets(table, e, n_max) -> list:
 
 def group_exponent(table, e) -> int:
     """Least k >= 1 with x^k = e for every member of the subgroup at e."""
-    _check_element(table, e)
-    if table.op[e][e] != e:
-        raise PreconditionError("element %d is not idempotent" % e)
-    he = h_class(table, e)
-    op = table.op
-    exp = 1
-    for x in he:
-        order = 1
-        acc = x
-        while acc != e:
-            acc = op[acc][x]
-            order += 1
-        exp = math.lcm(exp, order)
-    return exp
+    _check_idempotent(table, e)
+    # the powers of a group member x run through e back to x, so their
+    # number is the order of x
+    return math.lcm(*(len(_powers(table, x)) for x in h_class(table, e)))
 
 
 # -- table builders ----------------------------------------------------------

@@ -11,7 +11,7 @@ subsemigroups used to cross-check those rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 from .core import (CayleyTable, adjoin_identity, adjoin_zero,
@@ -21,6 +21,9 @@ from .core import (CayleyTable, adjoin_identity, adjoin_zero,
                    validate)
 
 OMEGA = "omega"  # multiplicity marker: countably many copies, direct sum
+
+# Largest prime parameter accepted: trial division stays under 10^6 steps.
+MAX_PRIME = 10 ** 12
 
 
 def is_prime(p) -> bool:
@@ -52,6 +55,8 @@ class Factor:
         elif self.kind == "integers":
             if self.param is not None:
                 raise ValueError("integers takes no parameter")
+        elif isinstance(self.param, int) and self.param > MAX_PRIME:
+            raise ValueError("prime parameters are limited to 10^12")
         elif not is_prime(self.param):
             raise ValueError("%r is not prime" % (self.param,))
         if self.mult != OMEGA and (not isinstance(self.mult, int) or self.mult < 1):
@@ -80,6 +85,16 @@ class GroupSpec:
                 raise ValueError("group factors must be Factor instances")
 
 
+def _check_commutative(table, what):
+    report = validate(table)
+    if not report.associative:
+        raise ValueError("%s is not associative: witness %r"
+                         % (what, report.assoc_witness))
+    if not report.commutative:
+        raise ValueError("%s is not commutative: witness %r"
+                         % (what, report.comm_witness))
+
+
 class SemilatticeSpec:
     pass
 
@@ -90,13 +105,7 @@ class FinitePoset(SemilatticeSpec):
     path: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
-        report = validate(self.table)
-        if not report.associative:
-            raise ValueError("poset table is not associative: witness %r"
-                             % (report.assoc_witness,))
-        if not report.commutative:
-            raise ValueError("poset table is not commutative: witness %r"
-                             % (report.comm_witness,))
+        _check_commutative(self.table, "poset table")
         if len(idempotents(self.table)) != self.table.n:
             bad = min(set(self.table.elements) - idempotents(self.table))
             raise ValueError("poset table is not idempotent: element %d" % bad)
@@ -117,6 +126,17 @@ class OmegaAntichainZero(SemilatticeSpec):
 # times, so every descriptor stays well inside the interpreter's default
 # recursion limit of 1000.
 MAX_DEPTH = 200
+
+# Most decimal digits a finite order or exponent may have, so that every
+# report prints it within Python's default limit of 4300 digits.
+MAX_DIGITS = 4000
+
+
+def _check_digits(log10, what):
+    """Reject a number whose decimal logarithm is `log10` past MAX_DIGITS."""
+    if log10 >= MAX_DIGITS:
+        raise ValueError("%s has more than %d decimal digits"
+                         % (what, MAX_DIGITS))
 
 
 class Descriptor:
@@ -141,13 +161,7 @@ class FiniteTable(Descriptor):
 
     def __post_init__(self):
         super().__post_init__()
-        report = validate(self.table)
-        if not report.associative:
-            raise ValueError("table is not associative: witness %r"
-                             % (report.assoc_witness,))
-        if not report.commutative:
-            raise ValueError("table is not commutative: witness %r"
-                             % (report.comm_witness,))
+        _check_commutative(self.table, "table")
 
 
 @dataclass(frozen=True)
@@ -277,12 +291,17 @@ def _finite_profile(size, exponent, clifford, why):
 
 def _group_profile(spec):
     size = 1
+    digits = 0.0
     for f in spec.factors:
         if f.param == 1:
             continue  # trivial factors add nothing, even omega many
         if f.kind != "cyclic" or f.mult == OMEGA:
             size = None
             break
+        # past 4 * MAX_DIGITS copies the bound is passed (2^4 > 10), and a
+        # larger multiplicity may not convert to a float
+        digits += min(f.mult, 4 * MAX_DIGITS) * math.log10(f.param)
+        _check_digits(digits, "group order")
         size *= f.param ** f.mult
     w = {"cardinality": "finite group" if size is not None else
          "some factor is infinite"}
@@ -294,6 +313,7 @@ def _group_profile(spec):
     bad_bounded = next((f for f in spec.factors if f.kind != "cyclic"), None)
     if bad_bounded is None:
         exponent = math.lcm(1, *(f.param for f in spec.factors))
+        _check_digits(math.log10(exponent), "group exponent")
         bounded = True
         w["subgroups_bounded"] = "exponent %d" % exponent
     else:
@@ -407,8 +427,10 @@ def _evaluate(d):
         pl = _evaluate(d.left)
         pr = _evaluate(d.right)
         w = {}
-        size = (pl.size * pr.size
-                if pl.size is not None and pr.size is not None else None)
+        size = None
+        if pl.size is not None and pr.size is not None:
+            _check_digits(math.log10(pl.size) + math.log10(pr.size), "order")
+            size = pl.size * pr.size
         w["cardinality"] = ("product of finite factors" if size is not None
                             else "an infinite factor")
         # a product is periodic / chain-finite / bounded iff both factors
@@ -416,7 +438,10 @@ def _evaluate(d):
         periodic = _combine_and("periodic", pl, pr, w)
         cf = _combine_and("chain_finite", pl, pr, w)
         bounded = _combine_and("subgroups_bounded", pl, pr, w)
-        exponent = (math.lcm(pl.exponent, pr.exponent) if bounded else None)
+        exponent = None
+        if bounded:
+            exponent = math.lcm(pl.exponent, pr.exponent)
+            _check_digits(math.log10(exponent), "exponent")
         cliff = pl.clifford and pr.clifford
         w["clifford"] = ("both factors Clifford" if cliff else
                          "a factor is not Clifford")
@@ -452,11 +477,7 @@ def _evaluate(d):
         # one new central idempotent with a trivial subgroup: every
         # predicate survives unchanged, chains grow by at most one element
         p = _evaluate(d.inner)
-        size = p.size + 1 if p.size is not None else None
-        return PredicateProfile(size, p.periodic, p.chain_finite,
-                                p.subgroups_bounded, p.exponent, p.clifford,
-                                p.almost_clifford, p.has_singleton_square,
-                                dict(p.witness))
+        return replace(p, size=p.size + 1 if p.size is not None else None)
 
     raise TypeError("not a descriptor: %r" % (d,))
 

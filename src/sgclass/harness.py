@@ -13,8 +13,8 @@ from itertools import permutations, product
 from typing import Optional
 
 from . import _kernel
-from .core import (CayleyTable, h_class, idempotents, natural_le, pi_map,
-                   root_inf, validate, z_sets)
+from .core import (CayleyTable, _max_clique, h_class, idempotents, natural_le,
+                   pi_map, relabel, root_inf, validate, z_sets)
 from .quotients import congruences, lift_idempotent, quotient_by_congruence
 
 MAX_ENUM_ORDER = 5
@@ -63,13 +63,8 @@ def iso_class_count(tables) -> int:
         if t.op in seen:
             continue
         count += 1
-        n = t.n
-        for perm in permutations(range(n)):
-            inv = [0] * n
-            for a, b in enumerate(perm):
-                inv[b] = a
-            seen.add(tuple(tuple(perm[t.op[inv[i]][inv[j]]] for j in range(n))
-                           for i in range(n)))
+        for perm in permutations(range(t.n)):
+            seen.add(relabel(t, perm).op)
     return count
 
 
@@ -203,31 +198,21 @@ def singleton_square_scan(table, max_subset=None) -> Optional[frozenset]:
     singleton, or None.
 
     For each target s this is a maximum-clique search over the elements
-    squaring to s, with adjacency "product equals s"; exploration is
-    lexicographic, so the witness is deterministic.
+    squaring to s, with adjacency "product equals s".  The witness is the
+    lexicographically least largest clique for the least s that has one,
+    cut to its first max_subset members.
     """
     n = table.n
     op = table.op
     cap = n if max_subset is None else max_subset
     best = ()
-
     for s in range(n):
         verts = [a for a in range(n) if op[a][a] == s]
-
-        def extend(chosen, start):
-            nonlocal best
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-            for i in range(start, len(verts)):
-                if len(chosen) + (len(verts) - i) <= len(best):
-                    break
-                x = verts[i]
-                if all(op[c][x] == s and op[x][c] == s for c in chosen):
-                    chosen.append(x)
-                    extend(chosen, i + 1)
-                    chosen.pop()
-
-        extend([], 0)
+        if len(verts) > len(best):
+            adj = {a: sum(1 << b for b in verts
+                          if b > a and op[a][b] == s == op[b][a])
+                   for a in verts}
+            best = _max_clique(sum(1 << a for a in verts), adj, best)
     if len(best) < 2 or cap < 2:
         return None
     return frozenset(best[:cap])

@@ -81,10 +81,10 @@ def power_semigroup(base) -> PowerSemigroup:
     size = (1 << n) - 1
     members = [tuple(b for b in range(n) if (m >> b) & 1)
                for m in range(size + 1)]
-    prod = [[0] * (size + 1) for _ in range(size + 1)]
+    rows = []
     for mu in range(1, size + 1):
-        row = prod[mu]
         us = members[mu]
+        row = []
         for mv in range(1, size + 1):
             mask = 0
             vs = members[mv]
@@ -92,8 +92,8 @@ def power_semigroup(base) -> PowerSemigroup:
                 ru = op[u]
                 for v in vs:
                     mask |= 1 << ru[v]
-            row[mv] = mask
-    rows = [[prod[i + 1][j + 1] - 1 for j in range(size)] for i in range(size)]
+            row.append(mask - 1)
+        rows.append(row)
     elements = tuple(frozenset(members[m]) for m in range(1, size + 1))
     return PowerSemigroup(base, elements, CayleyTable(rows))
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -374,3 +376,168 @@ class TestDepthGuard:
             assert run.stderr.startswith("error:")
             assert "Traceback" not in run.stderr
             assert run.stdout == ""
+
+
+def run_sgclass(*argv):
+    src = os.path.dirname(os.path.dirname(sgclass.__file__))
+    return subprocess.run([sys.executable, "-m", "sgclass"] + list(argv),
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+class TestHugeNumbers:
+    @pytest.mark.parametrize("expr,what", [
+        ("(group (cyclic 2 x 15000))", "group order"),
+        ("(group (cyclic 3 x 1000000000))", "group order"),
+        ("(group (cyclic 2 x %d))" % 10 ** 400, "group order"),
+        ("(product (group (cyclic 2 x 7000)) (group (cyclic 2 x 7000)))",
+         "order"),
+        ("(group (cyclic %d x omega) (cyclic %d x omega))"
+         % (2 ** 7000, 3 ** 4800), "group exponent"),
+        ("(product (group (cyclic %d x omega)) (group (cyclic %d x omega)))"
+         % (2 ** 7000, 3 ** 4800), "exponent"),
+    ], ids=["order", "slow-power", "float-overflow", "product", "exponent",
+            "product-exponent"])
+    def test_past_the_digit_bound_exits_two_at_once(self, expr, what):
+        run = run_sgclass("classify", expr)
+        assert run.returncode == 2
+        assert run.stderr == ("error: %s has more than 4000 decimal digits\n"
+                              % what)
+        assert run.stdout == ""
+
+    def test_order_within_the_bound_prints_exactly(self, capsys):
+        assert len(str(2 ** 13000)) == 3914
+        assert main(["classify", "(group (cyclic 2 x 13000))", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["profile"]["cardinality"] \
+            == 2 ** 13000
+
+    def test_huge_prime_parameter_is_refused_at_once(self):
+        run = run_sgclass("classify", "(group (prufer 1000000000000000003))")
+        assert run.returncode == 2
+        assert run.stderr == ("error: line 1, column 16: prime parameters are "
+                              "limited to 10^12\n")
+
+
+# -- fuzzing the input boundary ----------------------------------------------
+
+def main_outcome(argv):
+    """Exit code, stdout and stderr of `main(argv)`; an exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err, codes):
+    assert code in codes
+    if code == 2:
+        assert err.startswith("error:")
+
+
+# integers of any size that still print (Python's limit is 4300 digits)
+_int_text_st = st.one_of(st.integers(-2, 12),
+                         st.integers(-2 ** 14000, 2 ** 14000)).map(str)
+
+
+def _mutate(text, kind, at, insert):
+    at %= len(text) + 1
+    if kind == 1:
+        return text[:at] + text[at + 1:]
+    if kind == 2:
+        return text[:at] + insert + text[at:]
+    if kind == 3:
+        return text[:at]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "Z3.tbl").write_text(render_table(cyclic_table(3)))
+    (directory / "L3.tbl").write_text(L3_TEXT)
+    (directory / "LZ2.tbl").write_text("2\n0 0\n1 1\n")
+    (directory / "bad.tbl").write_text("2\n1 0\n0 0\n")
+    return directory
+
+
+class TestInputFuzz:
+    @staticmethod
+    def descriptor_text_st(directory):
+        paths = [str(directory / name) for name in
+                 ("Z3.tbl", "L3.tbl", "LZ2.tbl", "bad.tbl", "missing.tbl")]
+        factor = st.builds(
+            "({} {}{})".format,
+            st.sampled_from(["cyclic", "prufer", "integers", "cyclic-tower",
+                             "bogus"]),
+            _int_text_st,
+            st.one_of(st.just(""), st.builds(" x {}".format, st.one_of(
+                _int_text_st, st.just("omega")))))
+        leaf = st.one_of(
+            st.builds(lambda fs: "(group %s)" % " ".join(fs),
+                      st.lists(factor, max_size=3)),
+            st.sampled_from(["(taimanov)", "(null)", "(semilattice chain-omega)",
+                             "(semilattice antichain-omega-zero)"]),
+            st.builds("(table {})".format, st.sampled_from(paths)),
+            st.builds("(semilattice (poset {}))".format, st.sampled_from(paths)),
+        )
+        tree = st.recursive(leaf, lambda inner: st.one_of(
+            st.builds("(product {} {})".format, inner, inner),
+            st.builds("(adjoin-zero {})".format, inner),
+            st.builds("(adjoin-identity {})".format, inner),
+        ), max_leaves=6)
+        return st.one_of(
+            st.builds(_mutate, tree, st.integers(0, 6), st.integers(0, 400),
+                      st.text(max_size=4)),
+            st.text(),
+        )
+
+    @staticmethod
+    def table_text_st(max_order):
+        entry = st.one_of(st.integers(0, max_order - 1).map(str), _int_text_st,
+                          st.text(max_size=3))
+        rows = st.integers(1, max_order).flatmap(lambda n: st.tuples(
+            st.one_of(st.just(str(n)), _int_text_st),
+            st.lists(st.lists(entry, min_size=n, max_size=n),
+                     min_size=n, max_size=n)))
+        generated = rows.map(lambda t: "\n".join(
+            [t[0]] + [" ".join(r) for r in t[1]]) + "\n")
+        known = st.sampled_from([
+            render_table(cyclic_table(3)), L3_TEXT, "2\n0 0\n1 1\n",
+            render_table(taimanov_table(5)), "# comment\n\n1\n0\n"])
+        return st.builds(_mutate, st.one_of(generated, known, st.text()),
+                         st.integers(0, 6), st.integers(0, 200),
+                         st.text(max_size=4))
+
+    def test_classify_any_text(self, fuzz_dir):
+        @settings(max_examples=200, deadline=None)
+        @given(self.descriptor_text_st(fuzz_dir), st.booleans())
+        def check(text, as_json):
+            argv = ["classify"] + (["--json"] if as_json else []) + ["--", text]
+            code, _, err = main_outcome(argv)
+            assert_contract(code, err, (0, 2))
+
+        check()
+
+    # `power` is kept to base order <= 6: order 16 is accepted by design and
+    # builds about 4e9 cells
+    COMMANDS = [
+        (["validate"], (0, 1, 2)),
+        (["analyze"], (0, 2)),
+        (["quotient", "--ideal", "0"], (0, 2)),
+        (["quotient", "--pairs", "0=1"], (0, 2)),
+        (["power"], (0, 2)),
+    ]
+
+    def test_table_commands_any_file(self, fuzz_dir):
+        path = fuzz_dir / "input.tbl"
+
+        @settings(max_examples=150, deadline=None)
+        @given(self.table_text_st(6), st.booleans())
+        def check(text, as_json):
+            path.write_text(text, encoding="utf-8")
+            for command, codes in self.COMMANDS:
+                argv = command + (["--json"] if as_json else []) + [str(path)]
+                code, _, err = main_outcome(argv)
+                assert_contract(code, err, codes)
+
+        check()

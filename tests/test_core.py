@@ -123,6 +123,11 @@ class TestMaxChain:
             assert all(table.op[x][y] in (x, y)
                        for x, y in combinations(sorted(witness), 2))
 
+    def test_witness_is_the_lexicographically_first_largest_chain(self, corpus4):
+        # the oracle keeps the first chain of each size in lexicographic order
+        for table in corpus4:
+            assert max_chain_length(table) == brute_force_max_chain(table)
+
 
 class TestCenter:
     def test_commutative_is_everything(self, z3, t5):
@@ -271,6 +276,15 @@ class TestGroupExponent:
                 k = group_exponent(table, e)
                 assert all(power_oracle(table, x, k) == e
                            for x in h_class(table, e))
+
+    def test_exponent_is_the_least_that_kills(self, corpus4):
+        for table in corpus4:
+            for e in idempotents(table):
+                group = h_class(table, e)
+                least = next(k for k in range(1, table.n + 1)
+                             if all(power_oracle(table, x, k) == e
+                                    for x in group))
+                assert group_exponent(table, e) == least
 
 
 class TestStructuralFacts:

@@ -157,6 +157,23 @@ class TestSingletonSquareScan:
                 assert len({table.op[x][y]
                             for x in witness for y in witness}) == 1
 
+    def test_witness_is_first_largest_for_the_least_product(self, corpus4):
+        from itertools import combinations
+        for table in corpus4:
+            n = table.n
+            found = [(table.op[a[0]][a[0]], a)
+                     for size in range(2, n + 1)
+                     for a in combinations(range(n), size)
+                     if len({table.op[x][y] for x in a for y in a}) == 1]
+            if not found:
+                assert singleton_square_scan(table) is None
+                continue
+            largest = max(len(a) for _, a in found)
+            _, first = min((s, a) for s, a in found if len(a) == largest)
+            for cap in range(2, n + 1):
+                assert singleton_square_scan(table, cap) == set(first[:cap])
+            assert singleton_square_scan(table) == set(first)
+
     def test_taimanov_truncations_have_finite_shadows(self):
         # {0, 1, x} multiplies entirely to 0, so the finite truncation
         # carries a (finite) witness even though no infinite one exists

@@ -170,6 +170,10 @@ class TestLiftIdempotent:
         with pytest.raises(PreconditionError, match="not idempotent"):
             lift_idempotent(z4, cong, 1)
 
+    def test_rejects_noncommutative_table(self, lz2):
+        with pytest.raises(PreconditionError, match="commutative table"):
+            lift_idempotent(lz2, Congruence.identity(2), 0)
+
     def test_subgroup_image_exhaustive(self, corpus4):
         # the subgroup at the lifted idempotent projects onto the subgroup
         # at the quotient idempotent, over every congruence
