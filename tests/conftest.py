@@ -1,7 +1,7 @@
 import pytest
 
-from sgclass import (CayleyTable, chain_table, cyclic_table, null_table,
-                     taimanov_table)
+from sgclass import (CayleyTable, chain_table, cyclic_table, harness,
+                     null_table, taimanov_table)
 from sgclass.harness import enumerate_commutative
 
 
@@ -52,3 +52,19 @@ def corpus4():
 def corpus5():
     """One table per isomorphism class, orders 1..5."""
     return [t for n in (1, 2, 3, 4, 5) for t in enumerate_commutative(n, up_to_iso=True)]
+
+
+@pytest.fixture
+def collapsed_projections(monkeypatch):
+    """Make every quotient the suite builds project all elements onto class 0.
+
+    Both quotient checks then fail on the two-element semilattice, at the
+    identity congruence; the lift check also fails on the group of order 2.
+    """
+    real = harness.quotient_by_congruence
+
+    def collapsed(table, cong):
+        quotient, proj = real(table, cong)
+        return quotient, tuple(0 for _ in proj)
+
+    monkeypatch.setattr(harness, "quotient_by_congruence", collapsed)

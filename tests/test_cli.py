@@ -9,7 +9,7 @@ import pytest
 
 import sgclass
 from sgclass.cli import (MAX_DEPTH, DescriptorSyntaxError, TableParseError,
-                         main, parse_descriptor, parse_table,
+                         load_table_file, main, parse_descriptor, parse_table,
                          render_descriptor, render_table)
 from sgclass.core import chain_table, cyclic_table, taimanov_table
 from sgclass.descriptors import (OMEGA, Factor, FiniteTable, Group, Null,
@@ -311,6 +311,37 @@ class TestCommands:
     def test_suite_passes(self, capsys):
         assert main(["suite", "--max-order", "3"]) == 0
         assert "all properties hold" in capsys.readouterr().out
+
+    def test_suite_failure_writes_replay_files(self, collapsed_projections,
+                                              tmp_path, capsys):
+        out = str(tmp_path / "replays")
+        first = os.path.join(out, "suite_fail_order2_0001.tbl")
+        second = os.path.join(out, "suite_fail_order2_0002.tbl")
+        assert main(["suite", "--max-order", "2", "--out", out]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL order 2 table 1: quotient-idempotent-image, "
+            "quotient-h-class-lift (replay: %s)\n"
+            "FAIL order 2 table 2: quotient-h-class-lift (replay: %s)\n"
+            % (first, second))
+        assert sorted(os.listdir(out)) == [os.path.basename(first),
+                                           os.path.basename(second)]
+        assert load_table_file(first) == chain_table(2)
+        assert load_table_file(second) == cyclic_table(2)
+        with open(first, encoding="utf-8") as fh:
+            assert fh.readline() == ("# failed checks: quotient-idempotent-"
+                                     "image, quotient-h-class-lift\n")
+
+        assert main(["suite", "--max-order", "2", "--out", out,
+                     "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["tables"], payload["ok"]) == (4, False)
+        assert payload["failures"] == [
+            {"order": 2, "index": 1, "table": [[0, 0], [0, 1]],
+             "failed": ["quotient-idempotent-image", "quotient-h-class-lift"],
+             "replay": first},
+            {"order": 2, "index": 2, "table": [[0, 1], [1, 0]],
+             "failed": ["quotient-h-class-lift"], "replay": second},
+        ]
 
     def test_json_outputs_are_byte_identical(self, l3_file, capsys):
         runs = []

@@ -3,8 +3,9 @@ import pytest
 from sgclass import _kernel
 from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import CayleyTable, cyclic_table, taimanov_table, validate
-from sgclass.harness import (enumerate_commutative, enumerate_commutative_naive,
-                             iso_class_count, lemma_suite,
+from sgclass.harness import (CheckResult, enumerate_commutative,
+                             enumerate_commutative_naive, iso_class_count,
+                             lemma_suite,
                              singleton_square_scan)
 from sgclass.quotients import rees_quotient
 
@@ -123,6 +124,24 @@ class TestLemmaSuite:
             "pi-product-lower-bound", "z-sets-ascending",
             "quotient-idempotent-image", "quotient-h-class-lift",
         ]
+
+
+class TestSuiteFailurePath:
+    def test_quotient_checks_report_the_first_failing_congruence(
+            self, collapsed_projections):
+        semilattice = CayleyTable([[0, 0], [0, 1]])
+        report = lemma_suite(semilattice)
+        assert not report.ok
+        assert report.failures == (
+            CheckResult("quotient-idempotent-image", False,
+                        "congruence [[0], [1]]"),
+            CheckResult("quotient-h-class-lift", False,
+                        "congruence [[0], [1]] class 1"),
+        )
+        assert lemma_suite(cyclic_table(2)).failures == (
+            CheckResult("quotient-h-class-lift", False,
+                        "congruence [[0], [1]] class 0"),
+        )
 
 
 class TestSingletonSquareScan:

@@ -186,6 +186,30 @@ class TestLiftIdempotent:
                         h_class(quotient, e_class)
 
 
+    def test_oracle_least_idempotent_of_every_class(self, corpus4):
+        # brute force, independent of any quotient: the lift is the
+        # idempotent of the class below every other one in the natural
+        # order; a class with no idempotent and a class index past the
+        # last are refused
+        for table in corpus4:
+            op = table.op
+            es = idempotents(table)
+            for cong in congruences(table):
+                for e_class, cls in enumerate(cong.classes):
+                    inside = [f for f in sorted(cls) if f in es]
+                    if not inside:
+                        with pytest.raises(PreconditionError,
+                                           match="not idempotent"):
+                            lift_idempotent(table, cong, e_class)
+                        continue
+                    s = lift_idempotent(table, cong, e_class)
+                    assert s in inside
+                    assert all(op[s][f] == s for f in inside)
+                for bad in (-1, len(cong.classes)):
+                    with pytest.raises(PreconditionError, match="out of range"):
+                        lift_idempotent(table, cong, bad)
+
+
 class TestReesComposition:
     def test_ideal_image_is_ideal_and_quotients_compose(self, corpus4, t5):
         for table in list(corpus4[-20:]) + [t5]:
