@@ -26,12 +26,12 @@ import sys
 from dataclasses import fields
 
 from .classify import classify, explain
-from .core import (CayleyTable, MalformedTableError, PreconditionError,
-                   center, clifford_part, h_class, idempotents,
-                   max_chain_length, natural_le, pi_map, validate)
+from .core import (CayleyTable, PreconditionError, center, clifford_part,
+                   h_class, idempotents, max_chain_length, natural_le, pi_map,
+                   validate)
 from .descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA, SEMILATTICE_WORDS,
                           Factor, FinitePoset, FiniteTable, Group, GroupSpec,
-                          Semilattice, describe, spell)
+                          NotCommutativeError, Semilattice, describe, spell)
 from .harness import (SUITE_CHECK_NAMES, enumerate_commutative,
                       kernel_backend, lemma_suite)
 from .power import power_semigroup
@@ -223,7 +223,7 @@ def _parse_slspec(tk, loader):
         try:
             return FinitePoset(loader(path), path=path)
         except (OSError, ValueError) as exc:
-            raise DescriptorSyntaxError(str(exc), pline, pcol)
+            raise DescriptorSyntaxError(str(exc), pline, pcol) from exc
     tok, line, col = tk.atom("semilattice spec")
     if tok in SEMILATTICE_WORDS:
         return SEMILATTICE_WORDS[tok]()
@@ -249,7 +249,7 @@ def _parse_desc(tk, loader, depth=1):
         try:
             return FiniteTable(loader(path), path=path)
         except (OSError, ValueError) as exc:
-            raise DescriptorSyntaxError(str(exc), pline, pcol)
+            raise DescriptorSyntaxError(str(exc), pline, pcol) from exc
     if head == "group":
         factors = []
         while tk.peek() == "(":
@@ -411,7 +411,7 @@ def cmd_classify(args):
     try:
         desc = parse_descriptor(args.expr)
     except DescriptorSyntaxError as exc:
-        if "not commutative" in str(exc):
+        if isinstance(exc.__cause__, NotCommutativeError):
             raise DescriptorSyntaxError(
                 "classification covers commutative semigroups only; %s" % exc)
         raise
@@ -626,12 +626,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TableParseError, DescriptorSyntaxError, MalformedTableError,
-            PreconditionError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

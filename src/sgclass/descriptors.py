@@ -85,14 +85,18 @@ class GroupSpec:
                 raise ValueError("group factors must be Factor instances")
 
 
+class NotCommutativeError(ValueError):
+    """A finite table given as a commutative semigroup does not commute."""
+
+
 def _check_commutative(table, what):
     report = validate(table)
     if not report.associative:
         raise ValueError("%s is not associative: witness %r"
                          % (what, report.assoc_witness))
     if not report.commutative:
-        raise ValueError("%s is not commutative: witness %r"
-                         % (what, report.comm_witness))
+        raise NotCommutativeError("%s is not commutative: witness %r"
+                                  % (what, report.comm_witness))
 
 
 class SemilatticeSpec:

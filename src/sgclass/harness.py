@@ -89,7 +89,7 @@ class SuiteReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _check_root_absorption(table):
+def _check_root_absorption(table, quotients):
     # products of the root set of a maximal subgroup with the subgroup
     # itself must stay inside the subgroup
     op = table.op
@@ -103,7 +103,7 @@ def _check_root_absorption(table):
     return None
 
 
-def _check_pi_homomorphism(table):
+def _check_pi_homomorphism(table, quotients):
     pi = pi_map(table)
     op = table.op
     for x in table.elements:
@@ -113,7 +113,7 @@ def _check_pi_homomorphism(table):
     return None
 
 
-def _check_h_class_products(table):
+def _check_h_class_products(table, quotients):
     op = table.op
     es = sorted(idempotents(table))
     hs = {e: h_class(table, e) for e in es}
@@ -127,7 +127,7 @@ def _check_h_class_products(table):
     return None
 
 
-def _check_pi_product_lower_bound(table):
+def _check_pi_product_lower_bound(table, quotients):
     pi = pi_map(table)
     op = table.op
     for x in table.elements:
@@ -137,7 +137,7 @@ def _check_pi_product_lower_bound(table):
     return None
 
 
-def _check_z_sets_ascending(table):
+def _check_z_sets_ascending(table, quotients):
     for e in sorted(idempotents(table)):
         layers = z_sets(table, e, table.n + 2)
         for k in range(len(layers) - 1):
@@ -146,18 +146,16 @@ def _check_z_sets_ascending(table):
     return None
 
 
-def _check_quotient_idempotent_image(table):
+def _check_quotient_idempotent_image(table, quotients):
     source_e = idempotents(table)
-    for cong in congruences(table):
-        quotient, proj = quotient_by_congruence(table, cong)
+    for cong, quotient, proj in quotients:
         if idempotents(quotient) != frozenset(proj[e] for e in source_e):
             return "congruence %r" % (sorted(sorted(c) for c in cong.classes),)
     return None
 
 
-def _check_quotient_h_class_lift(table):
-    for cong in congruences(table):
-        quotient, proj = quotient_by_congruence(table, cong)
+def _check_quotient_h_class_lift(table, quotients):
+    for cong, quotient, proj in quotients:
         for e_class in sorted(idempotents(quotient)):
             s = lift_idempotent(table, cong, e_class)
             image = frozenset(proj[x] for x in h_class(table, s))
@@ -186,9 +184,11 @@ def lemma_suite(table) -> SuiteReport:
     Failures come back as data (name plus minimal counterexample), never
     as exceptions.
     """
+    quotients = [(cong,) + quotient_by_congruence(table, cong)
+                 for cong in congruences(table)]
     results = []
     for name, check in _SUITE:
-        ce = check(table)
+        ce = check(table, quotients)
         results.append(CheckResult(name, ce is None, ce))
     return SuiteReport(table, tuple(results))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .core import CayleyTable, PreconditionError, idempotents
 
 MAX_CONGRUENCE_ORDER = 6  # Bell(7) = 877 partitions is past desk scale
@@ -80,14 +82,19 @@ class Congruence:
         return "Congruence(%r)" % (sorted(sorted(c) for c in self.classes),)
 
 
-def rees_congruence(table, ideal) -> Congruence:
-    """The congruence collapsing an ideal to a point."""
+def _check_ideal(table, ideal):
     ideal = frozenset(ideal)
-    if not ideal:
-        return Congruence.identity(table.n)
     viol = ideal_violation(table, ideal)
     if viol is not None:
         raise PreconditionError("not an ideal: %d * %d escapes (%s side)" % viol)
+    return ideal
+
+
+def rees_congruence(table, ideal) -> Congruence:
+    """The congruence collapsing an ideal to a point."""
+    ideal = _check_ideal(table, ideal)
+    if not ideal:
+        return Congruence.identity(table.n)
     classes = [ideal] + [(x,) for x in range(table.n) if x not in ideal]
     return Congruence(classes)
 
@@ -151,6 +158,14 @@ def is_congruence(table, cong) -> bool:
     return congruence_violation(table, cong) is None
 
 
+def _check_congruence(table, cong):
+    viol = congruence_violation(table, cong)
+    if viol is not None:
+        (x, y), a = viol
+        raise PreconditionError("not a congruence: %d ~ %d but translation "
+                                "by %d separates them" % (x, y, a))
+
+
 def quotient_by_congruence(table, cong) -> tuple:
     """Quotient table on the classes plus the projection map.
 
@@ -158,12 +173,7 @@ def quotient_by_congruence(table, cong) -> tuple:
     construction once compatibility holds; incompatible partitions are
     rejected with a witnessing pair.
     """
-    viol = congruence_violation(table, cong)
-    if viol is not None:
-        (x, y), a = viol
-        raise PreconditionError(
-            "not a congruence: %d ~ %d but translation by %d separates them"
-            % (x, y, a))
+    _check_congruence(table, cong)
     cf = cong.class_of
     reps = [min(c) for c in cong.classes]
     rows = [[cf[table.op[a][b]] for b in reps] for a in reps]
@@ -176,12 +186,9 @@ def rees_quotient(table, ideal) -> tuple:
     Non-sink elements keep their relative order, so projections are
     deterministic.
     """
-    ideal = frozenset(ideal)
+    ideal = _check_ideal(table, ideal)
     if not ideal:
         return table, tuple(range(table.n))
-    viol = ideal_violation(table, ideal)
-    if viol is not None:
-        raise PreconditionError("not an ideal: %d * %d escapes (%s side)" % viol)
     keep = [x for x in range(table.n) if x not in ideal]
     proj = [0] * table.n
     for r, x in enumerate(keep):
@@ -196,28 +203,21 @@ def rees_quotient(table, ideal) -> tuple:
 def lift_idempotent(table, cong, e_class) -> int:
     """Least idempotent of the table mapping onto a quotient idempotent.
 
-    For a commutative table the product of all idempotents in the preimage
-    is that least element, and its subgroup projects onto the subgroup of
-    the quotient idempotent.
+    A class is idempotent in the quotient iff it holds an idempotent: such a
+    class holds every power of its members, and one of them is idempotent.
+    For a commutative table the product of those idempotents is the least,
+    and its subgroup projects onto the subgroup of the quotient idempotent.
     """
-    comm = all(table.op[x][y] == table.op[y][x]
-               for x in range(table.n) for y in range(x + 1, table.n))
-    if not comm:
+    if any(table.op[x][y] != table.op[y][x]
+           for x in range(table.n) for y in range(x + 1, table.n)):
         raise PreconditionError("idempotent lifting requires a commutative table")
-    quotient, proj = quotient_by_congruence(table, cong)
-    if not 0 <= e_class < quotient.n:
+    _check_congruence(table, cong)
+    if not 0 <= e_class < len(cong.classes):
         raise PreconditionError("class index %r out of range" % (e_class,))
-    if quotient.op[e_class][e_class] != e_class:
-        raise PreconditionError("class %d is not idempotent in the quotient" % e_class)
-    candidates = sorted(e for e in idempotents(table) if proj[e] == e_class)
+    candidates = sorted(idempotents(table) & cong.classes[e_class])
     if not candidates:
-        raise RuntimeError(
-            "internal invariant violated: idempotent class %d has no idempotent "
-            "preimage in a finite table" % e_class)
-    s = candidates[0]
-    for e in candidates[1:]:
-        s = table.op[s][e]
-    return s
+        raise PreconditionError("class %d is not idempotent in the quotient" % e_class)
+    return reduce(lambda s, e: table.op[s][e], candidates)
 
 
 def congruences(table):
@@ -250,9 +250,7 @@ def _restricted_growth_strings(n):
             rgs[i] = c
             yield from rec(i + 1, max(maxc, c))
 
-    if n == 0:
-        return
-    yield from rec(1, 0)
+    yield from rec(0, -1)
 
 
 __all__ = [

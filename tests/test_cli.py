@@ -266,7 +266,24 @@ class TestCommands:
 
     def test_classify_noncommutative_table_exits_two(self, lz2_file, capsys):
         assert main(["classify", "(table %s)" % lz2_file]) == 2
-        assert "commutative semigroups only" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: classification covers commutative semigroups only; "
+            "line 1, column 8: table is not commutative: witness (0, 1)\n")
+        assert main(["classify", "(semilattice (poset %s))" % lz2_file]) == 2
+        assert capsys.readouterr().err == (
+            "error: classification covers commutative semigroups only; "
+            "line 1, column 21: poset table is not commutative: "
+            "witness (0, 1)\n")
+
+    def test_classify_parse_error_naming_commutativity_gets_no_prefix(
+            self, tmp_path, capsys):
+        # the prefix follows the refusal's type, not words in the message
+        path = tmp_path / "F.tbl"
+        path.write_text("not commutative\n")
+        assert main(["classify", "(table %s)" % path]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1, column 8: line 1: expected the order, "
+            "got 'not commutative'\n")
 
     def test_classify_parse_error_exits_two(self, capsys):
         assert main(["classify", "(group (prufer 4))"]) == 2

@@ -1,6 +1,6 @@
 import pytest
 
-from sgclass import _kernel
+from sgclass import _kernel, harness
 from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import CayleyTable, cyclic_table, taimanov_table, validate
 from sgclass.harness import (CheckResult, enumerate_commutative,
@@ -124,6 +124,30 @@ class TestLemmaSuite:
             "pi-product-lower-bound", "z-sets-ascending",
             "quotient-idempotent-image", "quotient-h-class-lift",
         ]
+
+
+    def test_one_congruence_sweep_and_one_quotient_per_congruence(
+            self, corpus4, monkeypatch):
+        calls = {"congruences": 0, "quotients": 0}
+        real_congruences = harness.congruences
+        real_quotient = harness.quotient_by_congruence
+
+        def counted_congruences(table):
+            calls["congruences"] += 1
+            return real_congruences(table)
+
+        def counted_quotient(table, cong):
+            calls["quotients"] += 1
+            return real_quotient(table, cong)
+
+        monkeypatch.setattr(harness, "congruences", counted_congruences)
+        monkeypatch.setattr(harness, "quotient_by_congruence",
+                            counted_quotient)
+        for table in corpus4:
+            calls.update(congruences=0, quotients=0)
+            assert lemma_suite(table).ok
+            assert calls == {"congruences": 1,
+                             "quotients": len(list(real_congruences(table)))}
 
 
 class TestSuiteFailurePath:
