@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgclass import (antichain_zero_table, chain_table, cyclic_table,
-                     group_exponent, idempotents, max_chain_length,
-                     null_table, product_table, taimanov_table, validate)
+from sgclass import (CayleyTable, antichain_zero_table, chain_table,
+                     cyclic_table, group_exponent, idempotents,
+                     max_chain_length, null_table, product_table,
+                     taimanov_table, validate)
 from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
                                  Factor, FinitePoset, FiniteTable, Group,
                                  GroupSpec, Null, OmegaAntichainZero,
@@ -102,6 +103,17 @@ class TestDepthLimit:
     def test_depth_is_not_a_field(self):
         assert Product(Null(), AdjoinZero(Null())).depth == 3
         assert repr(AdjoinZero(Null())) == "AdjoinZero(inner=Null())"
+
+
+class TestNotADescriptor:
+    @pytest.mark.parametrize("x", [3, CayleyTable([[0]]), OmegaChain()],
+                             ids=["int", "table", "spec"])
+    @pytest.mark.parametrize("call", [
+        evaluate, cardinality, describe, lambda x: truncate(x, 4)],
+        ids=["evaluate", "cardinality", "describe", "truncate"])
+    def test_raises_type_error(self, call, x):
+        with pytest.raises(TypeError, match="not a descriptor"):
+            call(x)
 
 
 class TestCardinality:

@@ -1,5 +1,5 @@
-"""Byte-for-byte pins of `classify`, `analyze` and `power` output and of
-descriptor rendering.
+"""Byte-for-byte pins of `classify`, `analyze` and `power` output, of
+descriptor rendering and of descriptor truncation.
 
 For every expression in CASES, golden_classify.json holds the canonical
 rendering and the exact stdout of `sgclass classify EXPR`, as text and as
@@ -10,6 +10,10 @@ golden_tables.json holds, for every table in TABLES (one per isomorphism
 class of order <= 4, plus five order-8 formula tables), its rows and the
 sha256 of the stdout of `analyze FILE` and `analyze FILE --json`, and for
 tables of order <= 3 also of `power FILE --json`.
+
+golden_truncate.json holds, for every expression in CASES and every
+budget in BUDGETS, the rows of `truncate(descriptor, budget)`, one string
+of space-separated entries per row.
 
 Regenerate the files only when the output is meant to change, and review
 the difference:
@@ -31,10 +35,12 @@ from sgclass.cli import main, parse_descriptor, render_descriptor, render_table
 from sgclass.core import (CayleyTable, adjoin_zero, antichain_zero_table,
                           chain_table, cyclic_table, null_table,
                           taimanov_table)
+from sgclass.descriptors import truncate
 from sgclass.harness import enumerate_commutative
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_classify.json")
 GOLDEN_TABLES = pathlib.Path(__file__).with_name("golden_tables.json")
+GOLDEN_TRUNCATE = pathlib.Path(__file__).with_name("golden_truncate.json")
 
 FILES = {
     "L3.tbl": chain_table(3),
@@ -70,6 +76,9 @@ CASES = [
 ]
 
 
+BUDGETS = range(1, 13)
+
+
 def write_files(directory):
     for name, table in FILES.items():
         (directory / name).write_text(render_table(table))
@@ -93,6 +102,12 @@ def outputs(expr):
         "text": classify_stdout([expr]),
         "json": classify_stdout([expr, "--json"]),
     }
+
+
+def truncations(expr):
+    d = parse_descriptor(expr)
+    return {str(b): [" ".join(map(str, row)) for row in truncate(d, b).op]
+            for b in BUDGETS}
 
 
 def _tables():
@@ -160,6 +175,15 @@ def test_analyze_and_power_bytes(name, tmp_path, monkeypatch):
     assert table_digests(name, want["table"], tmp_path) == want
 
 
+def test_truncate_golden_file_covers_exactly_the_cases():
+    assert sorted(_golden(GOLDEN_TRUNCATE)) == sorted(CASES)
+
+
+@pytest.mark.parametrize("expr", CASES)
+def test_truncate_rows(expr, table_dir):
+    assert truncations(expr) == _golden(GOLDEN_TRUNCATE)[expr]
+
+
 def _write_golden(path, golden):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1)
@@ -175,9 +199,11 @@ if __name__ == "__main__":
         os.chdir(work)
         try:
             golden = {expr: outputs(expr) for expr in CASES}
+            truncated = {expr: truncations(expr) for expr in CASES}
             tables = {name: table_digests(name, t.op, work)
                       for name, t in TABLES.items()}
         finally:
             os.chdir(here)
     _write_golden(GOLDEN, golden)
     _write_golden(GOLDEN_TABLES, tables)
+    _write_golden(GOLDEN_TRUNCATE, truncated)
