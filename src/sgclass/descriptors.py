@@ -3,9 +3,10 @@
 A Descriptor denotes a commutative semigroup built from finite tables,
 torsion/free abelian groups, semilattices, the Taimanov semigroup, an
 infinite null semigroup, direct products, and zero/identity adjunction.
-`evaluate` computes the predicate profile the classifier consumes, one
-compositional rule per constructor; `truncate` produces finite
-subsemigroups used to cross-check those rules.
+Each constructor class holds its rules: `profile()` gives the predicate
+profile the classifier consumes, from its children's profiles, and
+`truncate(budget)` a finite subsemigroup used to cross-check those rules.
+`evaluate` and `truncate` are the checked entry points.
 """
 
 from __future__ import annotations
@@ -99,8 +100,48 @@ def _check_commutative(table, what):
                                   % (what, report.comm_witness))
 
 
+# -- finite truncations ------------------------------------------------------
+
+def _truncate_table(table, budget):
+    if table.n <= budget:
+        return table
+    for m in range(budget, 0, -1):
+        closure = set(range(m))
+        work = list(closure)
+        while work and len(closure) <= budget:
+            x = work.pop()
+            for y in sorted(closure):
+                for v in (table.op[x][y], table.op[y][x]):
+                    if v not in closure:
+                        closure.add(v)
+                        work.append(v)
+        if len(closure) <= budget:
+            sub, _ = restrict(table, closure)
+            return sub
+    e = monogenic_data(table, 0).pi
+    sub, _ = restrict(table, {e})
+    return sub
+
+
+def _factor_chunk(factor, room):
+    # largest finite subgroup of one copy of the factor with order <= room
+    if factor.kind == "cyclic":
+        for q in range(min(factor.param, room), 0, -1):
+            if factor.param % q == 0:
+                return q
+        return 1
+    if factor.kind == "integers":
+        return 1
+    q = 1
+    while q * factor.param <= room:
+        q *= factor.param
+    return q
+
+
 class SemilatticeSpec:
-    pass
+    """Base of the semilattice specs.  Each spec carries its `size` (None
+    for countably infinite), its `chain_finite` flag with the reason
+    `chain_finite_why`, and `truncate(budget)`, its initial segment."""
 
 
 @dataclass(frozen=True)
@@ -108,21 +149,38 @@ class FinitePoset(SemilatticeSpec):
     table: CayleyTable
     path: Optional[str] = field(default=None, compare=False)
 
+    chain_finite = True
+    chain_finite_why = "finite semilattice"
+
     def __post_init__(self):
         _check_commutative(self.table, "poset table")
         if len(idempotents(self.table)) != self.table.n:
             bad = min(set(self.table.elements) - idempotents(self.table))
             raise ValueError("poset table is not idempotent: element %d" % bad)
+        object.__setattr__(self, "size", self.table.n)
+
+    def truncate(self, budget):
+        return _truncate_table(self.table, budget)
 
 
 @dataclass(frozen=True)
 class OmegaChain(SemilatticeSpec):
     """Order-isomorphic to the natural numbers under min."""
 
+    size = None
+    chain_finite = False
+    chain_finite_why = "chain-omega is itself an infinite chain"
+    truncate = staticmethod(chain_table)
+
 
 @dataclass(frozen=True)
 class OmegaAntichainZero(SemilatticeSpec):
     """Infinitely many pairwise incomparable elements above one bottom."""
+
+    size = None
+    chain_finite = True
+    chain_finite_why = "antichain with zero: chains have at most 2 elements"
+    truncate = staticmethod(antichain_zero_table)
 
 
 # Deepest descriptor nesting accepted.  Parsing, evaluation and rendering
@@ -143,10 +201,37 @@ def _check_digits(log10, what):
                          % (what, MAX_DIGITS))
 
 
+@dataclass
+class PredicateProfile:
+    """The classification predicates of one commutative semigroup.
+
+    size None means countably infinite.  exponent witnesses
+    subgroups_bounded when it holds: the exact lcm for group and
+    semilattice composites, the largest per-subgroup exponent for finite
+    tables.  witness maps each predicate name to a short reason string.
+    """
+
+    size: Optional[int]
+    periodic: bool
+    chain_finite: bool
+    subgroups_bounded: bool
+    exponent: Optional[int]
+    clifford: bool
+    almost_clifford: bool
+    has_singleton_square: bool
+    witness: dict
+
+    @property
+    def is_finite(self) -> bool:
+        return self.size is not None
+
+
 class Descriptor:
     """Base of the constructors.  Each node knows its nesting depth (a leaf
     is 1) as the attribute `depth`, kept outside the dataclass fields so
-    that ==, hash() and repr() ignore it."""
+    that ==, hash() and repr() ignore it.  Each constructor class holds its
+    rules: `profile()`, whose witnesses name the leftmost deciding child,
+    and `truncate(budget)`, a subsemigroup of at most `budget` elements."""
 
     def __post_init__(self):
         children = [getattr(self, f.name) for f in fields(self)]
@@ -167,15 +252,120 @@ class FiniteTable(Descriptor):
         super().__post_init__()
         _check_commutative(self.table, "table")
 
+    def profile(self):
+        t = self.table
+        exponent = max(group_exponent(t, e) for e in idempotents(t))
+        cliff = clifford_part(t) == frozenset(t.elements)
+        w = dict.fromkeys(("cardinality", "periodic", "chain_finite",
+                           "subgroups_bounded", "almost_clifford",
+                           "has_singleton_square", "clifford"),
+                          "finite table (n=%d)" % t.n)
+        return PredicateProfile(t.n, True, True, True, exponent, cliff,
+                                True, False, w)
+
+    def truncate(self, budget):
+        # the subsemigroup generated by the longest fitting initial segment
+        return _truncate_table(self.table, budget)
+
 
 @dataclass(frozen=True)
 class Group(Descriptor):
     spec: GroupSpec
 
+    def profile(self):
+        factors = self.spec.factors
+        size = 1
+        digits = 0.0
+        for f in factors:
+            if f.param == 1:
+                continue  # trivial factors add nothing, even omega many
+            if f.kind != "cyclic" or f.mult == OMEGA:
+                size = None
+                break
+            # past 4 * MAX_DIGITS copies the bound is passed (2^4 > 10),
+            # and a larger multiplicity may not convert to a float
+            digits += min(f.mult, 4 * MAX_DIGITS) * math.log10(f.param)
+            _check_digits(digits, "group order")
+            size *= f.param ** f.mult
+        w = {"cardinality": "finite group" if size is not None else
+             "some factor is infinite"}
+        bad_periodic = next((f for f in factors if f.kind == "integers"), None)
+        periodic = bad_periodic is None
+        w["periodic"] = ("every factor is torsion" if periodic else
+                         "%s has elements of infinite order"
+                         % bad_periodic.text())
+        w["chain_finite"] = "group: the identity is the only idempotent"
+        bad_bounded = next((f for f in factors if f.kind != "cyclic"), None)
+        bounded = bad_bounded is None
+        exponent = None
+        if bounded:
+            exponent = math.lcm(1, *(f.param for f in factors))
+            _check_digits(math.log10(exponent), "group exponent")
+            w["subgroups_bounded"] = "exponent %d" % exponent
+        else:
+            w["subgroups_bounded"] = ("%s has elements of unbounded order"
+                                      % bad_bounded.text())
+        w["clifford"] = w["almost_clifford"] = "groups are Clifford"
+        w["has_singleton_square"] = ("cancellation: |AA| >= |aA| = |A| "
+                                     "for any a in A")
+        return PredicateProfile(size, periodic, True, bounded, exponent,
+                                True, True, False, w)
+
+    def truncate(self, budget):
+        # cyclic chunks, the largest that fits per factor copy, left to right
+        table = cyclic_table(1)
+        for f in self.spec.factors:
+            copies = f.mult if isinstance(f.mult, int) else budget
+            for _ in range(copies):
+                room = budget // table.n
+                if room < 2:
+                    break
+                q = _factor_chunk(f, room)
+                if q < 2:
+                    break
+                table = product_table(table, cyclic_table(q))
+        return table
+
 
 @dataclass(frozen=True)
 class Semilattice(Descriptor):
     spec: SemilatticeSpec
+
+    def profile(self):
+        s = self.spec
+        w = {
+            "cardinality": ("finite poset" if s.size is not None
+                            else "infinite carrier"),
+            "periodic": "idempotent elements",
+            "chain_finite": s.chain_finite_why,
+            "subgroups_bounded": "all subgroups trivial (exponent 1)",
+            "clifford": "semilattices are Clifford",
+            "almost_clifford": "semilattices are Clifford",
+            "has_singleton_square": "idempotency: a in A implies a = a*a in AA",
+        }
+        return PredicateProfile(s.size, True, s.chain_finite, True, 1, True,
+                                True, False, w)
+
+    def truncate(self, budget):
+        return self.spec.truncate(budget)
+
+
+def _decided_by(name, pl, pr, left, right, out_w, otherwise):
+    """Witness `name` by the left factor if `left`, else by the right if
+    `right`, else by `otherwise`."""
+    if left:
+        out_w[name] = "left factor: %s" % pl.witness[name]
+    elif right:
+        out_w[name] = "right factor: %s" % pr.witness[name]
+    else:
+        out_w[name] = otherwise
+
+
+def _combine_and(name, pl, pr, out_w):
+    left, right = getattr(pl, name), getattr(pr, name)
+    _decided_by(name, pl, pr, not left, not right, out_w,
+                "holds in both factors")
+    return left and right
 
 
 @dataclass(frozen=True)
@@ -183,15 +373,92 @@ class Product(Descriptor):
     left: Descriptor
     right: Descriptor
 
+    def profile(self):
+        pl = self.left.profile()
+        pr = self.right.profile()
+        w = {}
+        size = None
+        if pl.size is not None and pr.size is not None:
+            _check_digits(math.log10(pl.size) + math.log10(pr.size), "order")
+            size = pl.size * pr.size
+        w["cardinality"] = ("product of finite factors" if size is not None
+                            else "an infinite factor")
+        # a product is periodic / chain-finite / bounded iff both factors
+        # are: powers, chains and subgroups project coordinatewise
+        periodic = _combine_and("periodic", pl, pr, w)
+        cf = _combine_and("chain_finite", pl, pr, w)
+        bounded = _combine_and("subgroups_bounded", pl, pr, w)
+        exponent = None
+        if bounded:
+            exponent = math.lcm(pl.exponent, pr.exponent)
+            _check_digits(math.log10(exponent), "exponent")
+        cliff = pl.clifford and pr.clifford
+        w["clifford"] = ("both factors Clifford" if cliff else
+                         "a factor is not Clifford")
+        # the non-Clifford part of a product is (X \ H(X)) x Y union
+        # X x (Y \ H(Y)); each term is finite iff the side is Clifford or
+        # the side is almost Clifford with the other side finite
+        ac_left = pl.clifford or (pl.almost_clifford and pr.size is not None)
+        ac_right = pr.clifford or (pr.almost_clifford and pl.size is not None)
+        ac = ac_left and ac_right
+        _decided_by("almost_clifford", pl, pr, not ac_left, not ac_right, w,
+                    "both sides contribute a finite non-Clifford part")
+        # a singleton-square witness crosses a product with any idempotent
+        # on the other side; conversely an infinite witness has an infinite
+        # projection, so the flag is the disjunction
+        ss = pl.has_singleton_square or pr.has_singleton_square
+        _decided_by("has_singleton_square", pl, pr, pl.has_singleton_square,
+                    pr.has_singleton_square, w, "neither factor has one")
+        return PredicateProfile(size, periodic, cf, bounded, exponent, cliff,
+                                ac, ss, w)
+
+    def truncate(self, budget):
+        # the left side greedily, the right side in what the left leaves
+        a = self.left.truncate(budget)
+        return product_table(a, self.right.truncate(max(1, budget // a.n)))
+
 
 @dataclass(frozen=True)
-class AdjoinZero(Descriptor):
+class _Adjunction(Descriptor):
+    """One new central idempotent; the table builder `adjoin` adds it."""
+
     inner: Descriptor
+
+    def profile(self):
+        # every predicate survives, chains grow by at most one element
+        p = self.inner.profile()
+        return replace(p, size=p.size + 1 if p.size is not None else None)
+
+    def truncate(self, budget):
+        # the inner semigroup truncated one element smaller, plus the new one
+        if budget == 1:
+            return null_table(1)
+        return self.adjoin(self.inner.truncate(budget - 1))
 
 
 @dataclass(frozen=True)
-class AdjoinIdentity(Descriptor):
-    inner: Descriptor
+class AdjoinZero(_Adjunction):
+    adjoin = staticmethod(adjoin_zero)
+
+
+@dataclass(frozen=True)
+class AdjoinIdentity(_Adjunction):
+    adjoin = staticmethod(adjoin_identity)
+
+
+def _zero_profile(periodic_why, singleton_square, singleton_square_why):
+    # a countably infinite carrier whose products all land in {0, 1}
+    w = {
+        "cardinality": "infinite carrier",
+        "periodic": periodic_why,
+        "chain_finite": "chains have at most 2 elements",
+        "subgroups_bounded": "all subgroups trivial (exponent 1)",
+        "clifford": "Clifford part is the zero alone",
+        "almost_clifford": "complement of the Clifford part {0} is infinite",
+        "has_singleton_square": singleton_square_why,
+    }
+    return PredicateProfile(None, True, True, True, 1, False, False,
+                            singleton_square, w)
 
 
 @dataclass(frozen=True)
@@ -199,10 +466,23 @@ class Taimanov(Descriptor):
     """Countably infinite carrier; distinct elements outside {0, 1} multiply
     to 1, every other product is 0."""
 
+    def profile(self):
+        return _zero_profile("every square lands on the zero", False,
+                             "an infinite A has AA containing both 0 and 1 "
+                             "(squares give 0, distinct products 1)")
+
+    truncate = staticmethod(taimanov_table)  # the first `budget` points
+
 
 @dataclass(frozen=True)
 class Null(Descriptor):
     """Countably infinite carrier with every product equal to one zero."""
+
+    def profile(self):
+        return _zero_profile("every square is the zero", True,
+                             "A = the whole carrier has AA = {0}")
+
+    truncate = staticmethod(null_table)  # the first `budget` points
 
 
 # -- syntax ------------------------------------------------------------------
@@ -255,127 +535,24 @@ def describe(d) -> str:
     return spell(d, _describe_leaf)
 
 
-@dataclass
-class PredicateProfile:
-    """The classification predicates of one commutative semigroup.
-
-    size None means countably infinite.  exponent witnesses
-    subgroups_bounded when it holds: the exact lcm for group and
-    semilattice composites, the largest per-subgroup exponent for finite
-    tables.  witness maps each predicate name to a short reason string.
-    """
-
-    size: Optional[int]
-    periodic: bool
-    chain_finite: bool
-    subgroups_bounded: bool
-    exponent: Optional[int]
-    clifford: bool
-    almost_clifford: bool
-    has_singleton_square: bool
-    witness: dict
-
-    @property
-    def is_finite(self) -> bool:
-        return self.size is not None
+def _descriptor(d):
+    if not isinstance(d, Descriptor):
+        raise TypeError("not a descriptor: %r" % (d,))
+    return d
 
 
 def cardinality(d) -> Optional[int]:
     """Element count, or None for countably infinite."""
-    return _evaluate(d).size
-
-
-def _finite_profile(size, exponent, clifford, why):
-    w = {k: why for k in ("cardinality", "periodic", "chain_finite",
-                          "subgroups_bounded", "almost_clifford",
-                          "has_singleton_square", "clifford")}
-    return PredicateProfile(size, True, True, True, exponent, clifford,
-                            True, False, w)
-
-
-def _group_profile(spec):
-    size = 1
-    digits = 0.0
-    for f in spec.factors:
-        if f.param == 1:
-            continue  # trivial factors add nothing, even omega many
-        if f.kind != "cyclic" or f.mult == OMEGA:
-            size = None
-            break
-        # past 4 * MAX_DIGITS copies the bound is passed (2^4 > 10), and a
-        # larger multiplicity may not convert to a float
-        digits += min(f.mult, 4 * MAX_DIGITS) * math.log10(f.param)
-        _check_digits(digits, "group order")
-        size *= f.param ** f.mult
-    w = {"cardinality": "finite group" if size is not None else
-         "some factor is infinite"}
-    bad_periodic = next((f for f in spec.factors if f.kind == "integers"), None)
-    periodic = bad_periodic is None
-    w["periodic"] = ("every factor is torsion" if periodic else
-                     "%s has elements of infinite order" % bad_periodic.text())
-    w["chain_finite"] = "group: the identity is the only idempotent"
-    bad_bounded = next((f for f in spec.factors if f.kind != "cyclic"), None)
-    if bad_bounded is None:
-        exponent = math.lcm(1, *(f.param for f in spec.factors))
-        _check_digits(math.log10(exponent), "group exponent")
-        bounded = True
-        w["subgroups_bounded"] = "exponent %d" % exponent
-    else:
-        exponent = None
-        bounded = False
-        w["subgroups_bounded"] = ("%s has elements of unbounded order"
-                                  % bad_bounded.text())
-    w["clifford"] = w["almost_clifford"] = "groups are Clifford"
-    w["has_singleton_square"] = ("cancellation: |AA| >= |aA| = |A| "
-                                 "for any a in A")
-    return PredicateProfile(size, periodic, True, bounded, exponent, True,
-                            True, False, w)
-
-
-def _semilattice_profile(spec):
-    if isinstance(spec, FinitePoset):
-        size = spec.table.n
-        cf = True
-        cf_why = "finite semilattice"
-    elif isinstance(spec, OmegaChain):
-        size = None
-        cf = False
-        cf_why = "chain-omega is itself an infinite chain"
-    else:
-        size = None
-        cf = True
-        cf_why = "antichain with zero: chains have at most 2 elements"
-    w = {
-        "cardinality": "finite poset" if size is not None else "infinite carrier",
-        "periodic": "idempotent elements",
-        "chain_finite": cf_why,
-        "subgroups_bounded": "all subgroups trivial (exponent 1)",
-        "clifford": "semilattices are Clifford",
-        "almost_clifford": "semilattices are Clifford",
-        "has_singleton_square": "idempotency: a in A implies a = a*a in AA",
-    }
-    return PredicateProfile(size, True, cf, True, 1, True, True, False, w)
-
-
-def _combine_and(name, pl, pr, out_w):
-    left = getattr(pl, name)
-    right = getattr(pr, name)
-    if left and right:
-        out_w[name] = "holds in both factors"
-    else:
-        side, p = ("left", pl) if not left else ("right", pr)
-        out_w[name] = "%s factor: %s" % (side, p.witness[name])
-    return left and right
+    return _descriptor(d).profile().size
 
 
 def evaluate(d) -> PredicateProfile:
     """Predicate profile of the semigroup a descriptor denotes.
 
-    Leaves carry exact values; composite constructors combine them by the
-    rules documented inline, with the witness naming the leftmost deciding
-    side.  A finite profile is forced to satisfy the all-good clause.
+    Each constructor class holds its rule as its `profile` method.  A
+    finite profile is forced to satisfy the all-good clause.
     """
-    profile = _evaluate(d)
+    profile = _descriptor(d).profile()
     if profile.size is not None:
         good = (profile.periodic and profile.chain_finite
                 and profile.subgroups_bounded and profile.almost_clifford
@@ -386,197 +563,15 @@ def evaluate(d) -> PredicateProfile:
     return profile
 
 
-def _evaluate(d):
-    if isinstance(d, FiniteTable):
-        t = d.table
-        exponent = max(group_exponent(t, e) for e in idempotents(t))
-        cliff = clifford_part(t) == frozenset(t.elements)
-        return _finite_profile(t.n, exponent, cliff,
-                               "finite table (n=%d)" % t.n)
-
-    if isinstance(d, Group):
-        return _group_profile(d.spec)
-
-    if isinstance(d, Semilattice):
-        return _semilattice_profile(d.spec)
-
-    if isinstance(d, Taimanov):
-        w = {
-            "cardinality": "infinite carrier",
-            "periodic": "every square lands on the zero",
-            "chain_finite": "chains have at most 2 elements",
-            "subgroups_bounded": "all subgroups trivial (exponent 1)",
-            "clifford": "Clifford part is the zero alone",
-            "almost_clifford": "complement of the Clifford part {0} is infinite",
-            "has_singleton_square": "an infinite A has AA containing both 0 "
-                                    "and 1 (squares give 0, distinct products 1)",
-        }
-        return PredicateProfile(None, True, True, True, 1, False, False,
-                                False, w)
-
-    if isinstance(d, Null):
-        w = {
-            "cardinality": "infinite carrier",
-            "periodic": "every square is the zero",
-            "chain_finite": "chains have at most 2 elements",
-            "subgroups_bounded": "all subgroups trivial (exponent 1)",
-            "clifford": "Clifford part is the zero alone",
-            "almost_clifford": "complement of the Clifford part {0} is infinite",
-            "has_singleton_square": "A = the whole carrier has AA = {0}",
-        }
-        return PredicateProfile(None, True, True, True, 1, False, False,
-                                True, w)
-
-    if isinstance(d, Product):
-        pl = _evaluate(d.left)
-        pr = _evaluate(d.right)
-        w = {}
-        size = None
-        if pl.size is not None and pr.size is not None:
-            _check_digits(math.log10(pl.size) + math.log10(pr.size), "order")
-            size = pl.size * pr.size
-        w["cardinality"] = ("product of finite factors" if size is not None
-                            else "an infinite factor")
-        # a product is periodic / chain-finite / bounded iff both factors
-        # are: powers, chains and subgroups project coordinatewise
-        periodic = _combine_and("periodic", pl, pr, w)
-        cf = _combine_and("chain_finite", pl, pr, w)
-        bounded = _combine_and("subgroups_bounded", pl, pr, w)
-        exponent = None
-        if bounded:
-            exponent = math.lcm(pl.exponent, pr.exponent)
-            _check_digits(math.log10(exponent), "exponent")
-        cliff = pl.clifford and pr.clifford
-        w["clifford"] = ("both factors Clifford" if cliff else
-                         "a factor is not Clifford")
-        # the non-Clifford part of a product is (X \ H(X)) x Y union
-        # X x (Y \ H(Y)); each term is finite iff the side is Clifford or
-        # the side is almost Clifford with the other side finite
-        def side_ok(p, other):
-            return p.clifford or (p.almost_clifford and other.size is not None)
-        ac_left = side_ok(pl, pr)
-        ac_right = side_ok(pr, pl)
-        ac = ac_left and ac_right
-        if ac:
-            w["almost_clifford"] = "both sides contribute a finite non-Clifford part"
-        elif not ac_left:
-            w["almost_clifford"] = "left factor: %s" % pl.witness["almost_clifford"]
-        else:
-            w["almost_clifford"] = "right factor: %s" % pr.witness["almost_clifford"]
-        # a singleton-square witness crosses a product with any idempotent
-        # on the other side; conversely an infinite witness has an infinite
-        # projection, so the flag is the disjunction
-        ss = pl.has_singleton_square or pr.has_singleton_square
-        if ss:
-            side, p = (("left", pl) if pl.has_singleton_square
-                       else ("right", pr))
-            w["has_singleton_square"] = "%s factor: %s" % (
-                side, p.witness["has_singleton_square"])
-        else:
-            w["has_singleton_square"] = "neither factor has one"
-        return PredicateProfile(size, periodic, cf, bounded, exponent, cliff,
-                                ac, ss, w)
-
-    if isinstance(d, (AdjoinZero, AdjoinIdentity)):
-        # one new central idempotent with a trivial subgroup: every
-        # predicate survives unchanged, chains grow by at most one element
-        p = _evaluate(d.inner)
-        return replace(p, size=p.size + 1 if p.size is not None else None)
-
-    raise TypeError("not a descriptor: %r" % (d,))
-
-
-# -- finite truncations ------------------------------------------------------
-
-def _factor_chunk(factor, room):
-    # largest finite subgroup of one copy of the factor with order <= room
-    if factor.kind == "cyclic":
-        for q in range(min(factor.param, room), 0, -1):
-            if factor.param % q == 0:
-                return q
-        return 1
-    if factor.kind == "integers":
-        return 1
-    q = 1
-    while q * factor.param <= room:
-        q *= factor.param
-    return q
-
-
-def _truncate_group(spec, budget):
-    table = cyclic_table(1)
-    for f in spec.factors:
-        copies = f.mult if isinstance(f.mult, int) else budget
-        for _ in range(copies):
-            room = budget // table.n
-            if room < 2:
-                break
-            q = _factor_chunk(f, room)
-            if q < 2:
-                break
-            table = product_table(table, cyclic_table(q))
-    return table
-
-
-def _truncate_table(table, budget):
-    if table.n <= budget:
-        return table
-    for m in range(budget, 0, -1):
-        closure = set(range(m))
-        work = list(closure)
-        while work and len(closure) <= budget:
-            x = work.pop()
-            for y in sorted(closure):
-                for v in (table.op[x][y], table.op[y][x]):
-                    if v not in closure:
-                        closure.add(v)
-                        work.append(v)
-        if len(closure) <= budget:
-            sub, _ = restrict(table, closure)
-            return sub
-    e = monogenic_data(table, 0).pi
-    sub, _ = restrict(table, {e})
-    return sub
-
-
 def truncate(d, size_budget) -> CayleyTable:
     """A finite subsemigroup of the denoted semigroup, within the budget.
 
-    Per constructor: groups give a product of cyclic chunks (largest
-    divisor chunk per factor copy, left to right); chain/antichain
-    semilattices give their initial segments; Null and Taimanov give the
-    defining formula restricted to the first size_budget points; products
-    truncate the left side greedily; adjunctions truncate the inner
-    semigroup one element smaller.  Never fails: the single-idempotent
-    table is always available.
+    Each constructor class holds its rule as its `truncate` method.  Never
+    fails: the single-idempotent table is always available.
     """
     if not isinstance(size_budget, int) or size_budget < 1:
         raise ValueError("size budget must be a positive integer")
-    if isinstance(d, FiniteTable):
-        return _truncate_table(d.table, size_budget)
-    if isinstance(d, Group):
-        return _truncate_group(d.spec, size_budget)
-    if isinstance(d, Semilattice):
-        s = d.spec
-        if isinstance(s, FinitePoset):
-            return _truncate_table(s.table, size_budget)
-        if isinstance(s, OmegaChain):
-            return chain_table(size_budget)
-        return antichain_zero_table(size_budget)
-    if isinstance(d, Product):
-        a = truncate(d.left, size_budget)
-        b = truncate(d.right, max(1, size_budget // a.n))
-        return product_table(a, b)
-    if isinstance(d, (AdjoinZero, AdjoinIdentity)):
-        if size_budget == 1:
-            return null_table(1)
-        adjoin = adjoin_zero if isinstance(d, AdjoinZero) else adjoin_identity
-        return adjoin(truncate(d.inner, size_budget - 1))
-    if isinstance(d, Taimanov):
-        return taimanov_table(size_budget)
-    if isinstance(d, Null):
-        return null_table(size_budget)
-    raise TypeError("not a descriptor: %r" % (d,))
+    return _descriptor(d).truncate(size_budget)
 
 
 __all__ = [
