@@ -32,8 +32,8 @@ from .core import (CayleyTable, PreconditionError, center, clifford_part,
 from .descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA, SEMILATTICE_WORDS,
                           Factor, FinitePoset, FiniteTable, Group, GroupSpec,
                           NotCommutativeError, Semilattice, describe, spell)
-from .harness import (SUITE_CHECK_NAMES, enumerate_commutative,
-                      kernel_backend, lemma_suite)
+from .harness import (MAX_ENUM_ORDER, SUITE_CHECK_NAMES,
+                      enumerate_commutative, kernel_backend, lemma_suite)
 from .power import power_semigroup
 from .quotients import (congruence_closure, quotient_by_congruence,
                         rees_quotient)
@@ -496,6 +496,8 @@ def cmd_enumerate(args):
 
 
 def cmd_suite(args):
+    if not 1 <= args.max_order <= MAX_ENUM_ORDER:
+        raise ValueError("--max-order must be in 1..%d" % MAX_ENUM_ORDER)
     failures = []
     total = 0
     for n in range(1, args.max_order + 1):

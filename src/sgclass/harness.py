@@ -182,7 +182,8 @@ def lemma_suite(table) -> SuiteReport:
     """Run every structural check on one commutative table.
 
     Failures come back as data (name plus minimal counterexample), never
-    as exceptions.
+    as exceptions, for tables of order up to quotients.MAX_CONGRUENCE_ORDER;
+    a larger table is refused with PreconditionError before any check runs.
     """
     quotients = [(cong,) + quotient_by_congruence(table, cong)
                  for cong in congruences(table)]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import sgclass
+from sgclass import cli
 from sgclass.cli import (MAX_DEPTH, DescriptorSyntaxError, TableParseError,
                          load_table_file, main, parse_descriptor, parse_table,
                          render_descriptor, render_table)
@@ -328,6 +329,18 @@ class TestCommands:
     def test_suite_passes(self, capsys):
         assert main(["suite", "--max-order", "3"]) == 0
         assert "all properties hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("order", ["0", "-1", "6"])
+    def test_suite_refuses_max_order_up_front(self, order, monkeypatch,
+                                              capsys):
+        calls = []
+        real = cli.lemma_suite
+        monkeypatch.setattr(cli, "lemma_suite",
+                            lambda table: calls.append(table) or real(table))
+        assert main(["suite", "--max-order", order]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --max-order must be in 1..5\n")
+        assert calls == []
 
     def test_suite_failure_writes_replay_files(self, collapsed_projections,
                                               tmp_path, capsys):

@@ -2,7 +2,8 @@ import pytest
 
 from sgclass import _kernel, harness
 from sgclass._kernel import canonical_form, commutative_tables
-from sgclass.core import CayleyTable, cyclic_table, taimanov_table, validate
+from sgclass.core import (CayleyTable, PreconditionError, cyclic_table,
+                          taimanov_table, validate)
 from sgclass.harness import (CheckResult, enumerate_commutative,
                              enumerate_commutative_naive, iso_class_count,
                              lemma_suite,
@@ -148,6 +149,18 @@ class TestLemmaSuite:
             assert lemma_suite(table).ok
             assert calls == {"congruences": 1,
                              "quotients": len(list(real_congruences(table)))}
+
+
+    def test_refuses_tables_past_the_congruence_order_before_any_check(
+            self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_SUITE", tuple(
+            (name, lambda table, quotients, name=name: ran.append(name))
+            for name, _ in harness._SUITE))
+        with pytest.raises(PreconditionError,
+                           match=r"limited to order <= 6"):
+            lemma_suite(cyclic_table(7))
+        assert ran == []
 
 
 class TestSuiteFailurePath:
