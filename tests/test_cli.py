@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,8 +15,9 @@ from sgclass.cli import (MAX_DEPTH, DescriptorSyntaxError, TableParseError,
                          load_table_file, main, parse_descriptor, parse_table,
                          render_descriptor, render_table)
 from sgclass.core import chain_table, cyclic_table, taimanov_table
-from sgclass.descriptors import (OMEGA, Factor, FiniteTable, Group, Null,
-                                 Product, Semilattice, Taimanov)
+from sgclass.descriptors import (CONSTRUCTORS, OMEGA, SEMILATTICE_WORDS,
+                                 Factor, FiniteTable, Group, Null, Product,
+                                 Semilattice, Taimanov)
 
 L3_TEXT = "3\n0 0 0\n0 1 1\n0 1 2\n"
 
@@ -213,6 +216,29 @@ class TestRenderRoundTrip:
         text = "(table %s)" % l3_file
         d = parse_descriptor(text)
         assert render_descriptor(d) == text
+
+
+def grammar_of(text):
+    """The descriptor grammar in `text`, from `desc :=` to the end of the
+    `slspec :=` line, with runs of whitespace collapsed to one space."""
+    match = re.search(r"^\s*desc\s*:=.*?^\s*slspec\s*:=[^\n]*", text,
+                      re.MULTILINE | re.DOTALL)
+    assert match, "no descriptor grammar found"
+    return " ".join(match.group().split())
+
+
+class TestGrammarDocs:
+    README = pathlib.Path(__file__).parents[1] / "README.md"
+
+    def test_readme_grammar_equals_the_cli_docstring(self):
+        readme = grammar_of(self.README.read_text(encoding="utf-8"))
+        assert readme == grammar_of(cli.__doc__)
+
+    def test_grammar_names_every_keyword(self):
+        quoted = set(re.findall(r'"([^"]+)"', grammar_of(cli.__doc__)))
+        words = (set(CONSTRUCTORS) | set(SEMILATTICE_WORDS)
+                 | {"table", "group", "semilattice", "poset"})
+        assert words <= quoted
 
 
 class TestCommands:
