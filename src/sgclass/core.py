@@ -209,6 +209,21 @@ def h_class(table, a) -> frozenset:
                      if _right_ideal(table, x) == ra and _left_ideal(table, x) == la)
 
 
+def h_classes(table) -> tuple:
+    """The H-class of every element in one pass: entry x is h_class(table, x).
+
+    Each element is keyed by its pair of principal ideals (xS^1, S^1x), so
+    the table's 2n ideals are built once rather than once per class.
+    """
+    keys = [(_right_ideal(table, x), _left_ideal(table, x))
+            for x in table.elements]
+    members = {}
+    for x, key in enumerate(keys):
+        members.setdefault(key, []).append(x)
+    classes = {key: frozenset(xs) for key, xs in members.items()}
+    return tuple(classes[key] for key in keys)
+
+
 def clifford_part(table) -> frozenset:
     """Union of the maximal subgroups (H-classes of idempotents)."""
     out = frozenset()

@@ -13,9 +13,9 @@ from itertools import permutations, product
 from typing import Optional
 
 from . import _kernel
-from .core import (CayleyTable, _max_clique, h_class, idempotents, natural_le,
-                   pi_map, relabel, root_inf, validate, z_sets)
-from .quotients import congruences, lift_idempotent, quotient_by_congruence
+from .core import (CayleyTable, _max_clique, h_classes, idempotents,
+                   natural_le, pi_map, relabel, root_inf, validate, z_sets)
+from .quotients import _lift_idempotent, congruences, quotient_by_congruence
 
 MAX_ENUM_ORDER = 5
 MAX_NAIVE_ORDER = 3
@@ -93,8 +93,9 @@ def _check_root_absorption(table, quotients):
     # products of the root set of a maximal subgroup with the subgroup
     # itself must stay inside the subgroup
     op = table.op
+    hs = h_classes(table)
     for e in sorted(idempotents(table)):
-        he = h_class(table, e)
+        he = hs[e]
         roots = root_inf(table, he)
         for x in sorted(roots):
             for y in sorted(he):
@@ -116,10 +117,10 @@ def _check_pi_homomorphism(table, quotients):
 def _check_h_class_products(table, quotients):
     op = table.op
     es = sorted(idempotents(table))
-    hs = {e: h_class(table, e) for e in es}
+    hs = h_classes(table)
     for e in es:
         for f in es:
-            target = hs[op[e][f]] if op[e][f] in hs else h_class(table, op[e][f])
+            target = hs[op[e][f]]
             for a in sorted(hs[e]):
                 for b in sorted(hs[f]):
                     if op[a][b] not in target:
@@ -155,11 +156,16 @@ def _check_quotient_idempotent_image(table, quotients):
 
 
 def _check_quotient_h_class_lift(table, quotients):
+    # every congruence here comes from congruences(table), so the lift
+    # skips lift_idempotent's checks; a finite quotient has an idempotent
+    source_e = idempotents(table)
+    hs = h_classes(table)
     for cong, quotient, proj in quotients:
+        quotient_hs = h_classes(quotient)
         for e_class in sorted(idempotents(quotient)):
-            s = lift_idempotent(table, cong, e_class)
-            image = frozenset(proj[x] for x in h_class(table, s))
-            if image != h_class(quotient, e_class):
+            s = _lift_idempotent(table, cong, e_class, source_e)
+            image = frozenset(proj[x] for x in hs[s])
+            if image != quotient_hs[e_class]:
                 return "congruence %r class %d" % (
                     sorted(sorted(c) for c in cong.classes), e_class)
     return None

@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
 from sgclass import (CayleyTable, chain_table, cyclic_table, harness,
-                     null_table, taimanov_table)
+                     null_table, taimanov_table, validate)
 from sgclass.harness import enumerate_commutative
 
 
@@ -52,6 +54,14 @@ def corpus4():
 def corpus5():
     """One table per isomorphism class, orders 1..5."""
     return [t for n in (1, 2, 3, 4, 5) for t in enumerate_commutative(n, up_to_iso=True)]
+
+
+@pytest.fixture(scope="session")
+def associative3():
+    """Every associative table of orders 1..3, commutative or not."""
+    tables = (CayleyTable([values[i * n:(i + 1) * n] for i in range(n)])
+              for n in (1, 2, 3) for values in product(range(n), repeat=n * n))
+    return [t for t in tables if validate(t).associative]
 
 
 @pytest.fixture

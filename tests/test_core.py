@@ -5,7 +5,7 @@ import pytest
 from sgclass import (CayleyTable, MalformedTableError, PreconditionError,
                      adjoin_identity, adjoin_zero, center, chain_table,
                      clifford_part, cyclic_table, group_exponent, h_class,
-                     idempotents, max_chain_length, monogenic_data,
+                     h_classes, idempotents, max_chain_length, monogenic_data,
                      natural_le, null_table, pi_map, product_table, relabel,
                      restrict, root_inf, taimanov_table, validate, z_sets)
 
@@ -155,6 +155,15 @@ class TestHClass:
                 assert e in he
                 assert all(table.op[x][y] in he for x in he for y in he)
                 assert all(table.op[e][x] == x for x in he)
+
+
+class TestHClasses:
+    def test_matches_h_class_of_every_element(self, corpus4, associative3):
+        for table in corpus4 + associative3:
+            hs = h_classes(table)
+            assert len(hs) == table.n
+            for x in table.elements:
+                assert hs[x] == h_class(table, x)
 
 
 class TestCliffordPart:

@@ -6,13 +6,39 @@ from hypothesis import strategies as st
 
 from sgclass import (CayleyTable, PreconditionError, chain_table,
                      cyclic_table, h_class, idempotents, null_table,
-                     taimanov_table, validate)
+                     product_table, taimanov_table, validate)
 from sgclass._kernel import canonical_form
 from sgclass.quotients import (Congruence, congruence_closure,
                                congruence_violation, congruences,
                                generated_ideal, is_congruence, is_ideal,
                                lift_idempotent, quotient_by_congruence,
                                rees_congruence, rees_quotient)
+
+
+def _restricted_growth_strings(n):
+    rgs = [0] * n
+
+    def rec(i, maxc):
+        if i == n:
+            yield tuple(rgs)
+            return
+        for c in range(maxc + 2):
+            rgs[i] = c
+            yield from rec(i + 1, max(maxc, c))
+
+    yield from rec(0, -1)
+
+
+def bell_filter_congruences(table):
+    """Oracle: every set partition, in restricted-growth-string order, kept
+    when it is compatible with the table."""
+    for rgs in _restricted_growth_strings(table.n):
+        groups = {}
+        for x, c in enumerate(rgs):
+            groups.setdefault(c, []).append(x)
+        cong = Congruence(groups.values())
+        if is_congruence(table, cong):
+            yield cong
 
 
 class TestIsIdeal:
@@ -258,3 +284,27 @@ class TestCongruenceEnumeration:
     def test_guard(self):
         with pytest.raises(PreconditionError):
             next(congruences(null_table(7)))
+
+    def test_same_list_as_bell_filter_on_corpus5(self, corpus5):
+        for table in corpus5:
+            assert list(congruences(table)) == \
+                list(bell_filter_congruences(table))
+
+    def test_same_list_as_bell_filter_on_every_small_table(self, associative3):
+        # the non-commutative tables need both translation sides
+        for table in associative3:
+            assert list(congruences(table)) == \
+                list(bell_filter_congruences(table))
+
+    def test_same_list_as_bell_filter_beside_a_left_zero_band(self, lz2):
+        for right in (cyclic_table(3), chain_table(3)):
+            table = product_table(lz2, right)
+            assert list(congruences(table)) == \
+                list(bell_filter_congruences(table))
+
+    def test_totals_per_order(self, corpus5):
+        totals = {}
+        for table in corpus5:
+            totals[table.n] = totals.get(table.n, 0) + \
+                len(list(congruences(table)))
+        assert totals == {1: 1, 2: 6, 3: 44, 4: 392, 5: 4106}
