@@ -8,7 +8,8 @@ index i holds the subset with mask i + 1.
 
 from __future__ import annotations
 
-from .core import CayleyTable, PreconditionError, _check_subset
+from .core import (CayleyTable, PreconditionError, _check_element,
+                   _check_subset)
 
 MAX_BASE_ORDER = 16
 
@@ -58,6 +59,7 @@ class PowerSemigroup:
         return _mask_of(subset) - 1
 
     def singleton_index(self, x) -> int:
+        _check_element(self.base, x)
         return (1 << x) - 1
 
     def __repr__(self):
@@ -68,32 +70,40 @@ class PowerSemigroup:
 def power_semigroup(base) -> PowerSemigroup:
     """Build the full subset-product table.
 
-    The singleton subsets form a copy of the base inside it.  Guarded to
-    base order <= 16 so masks stay in machine range; anything past ~10 is
-    slow by nature.
+    The singleton subsets form a copy of the base inside it.  The product
+    distributes over union, so the row of U is the row of U minus its least
+    member u, OR-ed cell by cell with the image of u (the mask of uV for
+    every V), and each image entry extends a smaller one by one product.
+    That costs n * 2^n image entries plus (2^n - 1)^2 cells at one OR each.
+    Rows are built as tuples in index space, which the table keeps as they
+    are, so the memory is one (2^n - 1)-square table.  Guarded to base order
+    <= 16 so masks stay in machine range.
     """
     n = base.n
     if n > MAX_BASE_ORDER:
         raise PreconditionError(
             "power semigroup is limited to base order <= %d (got %d)"
             % (MAX_BASE_ORDER, n))
-    op = base.op
     size = (1 << n) - 1
     members = [tuple(b for b in range(n) if (m >> b) & 1)
                for m in range(size + 1)]
+    images = []
+    for ru in base.op:
+        image = [0] * (size + 1)
+        for m in range(1, size + 1):
+            low = m & -m
+            image[m] = image[m ^ low] | 1 << ru[low.bit_length() - 1]
+        del image[0]
+        images.append(image)
     rows = []
     for mu in range(1, size + 1):
-        us = members[mu]
-        row = []
-        for mv in range(1, size + 1):
-            mask = 0
-            vs = members[mv]
-            for u in us:
-                ru = op[u]
-                for v in vs:
-                    mask |= 1 << ru[v]
-            row.append(mask - 1)
-        rows.append(row)
+        low = mu & -mu
+        image = images[low.bit_length() - 1]
+        if mu == low:
+            rows.append(tuple([b - 1 for b in image]))
+        else:
+            rows.append(tuple([((a + 1) | b) - 1
+                               for a, b in zip(rows[mu - low - 1], image)]))
     elements = tuple(frozenset(members[m]) for m in range(1, size + 1))
     return PowerSemigroup(base, elements, CayleyTable(rows))
 

@@ -9,7 +9,8 @@ depend on where the tests run.
 golden_tables.json holds, for every table in TABLES (one per isomorphism
 class of order <= 4, plus five order-8 formula tables), its rows and the
 sha256 of the stdout of `analyze FILE` and `analyze FILE --json`, and for
-tables of order <= 3 also of `power FILE --json`.
+tables of order <= 3 also of `power FILE --json`.  POWER_DIGESTS below pins
+`power FILE --json` on two larger bases, one of them non-commutative.
 
 golden_truncate.json holds, for every expression in CASES and every
 budget in BUDGETS, the rows of `truncate(descriptor, budget)`, one string
@@ -34,7 +35,7 @@ import pytest
 from sgclass.cli import main, parse_descriptor, render_descriptor, render_table
 from sgclass.core import (CayleyTable, adjoin_zero, antichain_zero_table,
                           chain_table, cyclic_table, null_table,
-                          taimanov_table)
+                          product_table, taimanov_table)
 from sgclass.descriptors import truncate
 from sgclass.harness import enumerate_commutative
 
@@ -141,6 +142,17 @@ def table_digests(name, rows, directory):
     return out
 
 
+# sha256 of the stdout of `power FILE --json`: 65,025 cells for cyclic8, and a
+# left-zero band times Z3, where a build that swaps U and V changes the bytes.
+POWER_DIGESTS = {
+    "cyclic8": (cyclic_table(8),
+                "4a587b759855b1250e45d967601b60e1b53823eeeb647023038e67c11076139f"),
+    "left_zero2_x_cyclic3": (
+        product_table(CayleyTable([[0, 0], [1, 1]]), cyclic_table(3)),
+        "1bb1e7720603b3a66c1b32041d24f7f739f1ba808dad6e1b364d22bbb9829c68"),
+}
+
+
 @pytest.fixture
 def table_dir(tmp_path, monkeypatch):
     write_files(tmp_path)
@@ -173,6 +185,16 @@ def test_analyze_and_power_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     want = _golden(GOLDEN_TABLES)[name]
     assert table_digests(name, want["table"], tmp_path) == want
+
+
+@pytest.mark.parametrize("name", sorted(POWER_DIGESTS))
+def test_large_base_power_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table, digest = POWER_DIGESTS[name]
+    path = tmp_path / ("%s.tbl" % name)
+    path.write_text(render_table(table))
+    out = stdout_of(["power", path.name, "--json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_truncate_golden_file_covers_exactly_the_cases():

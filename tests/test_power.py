@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgclass import (CayleyTable, PreconditionError, chain_table,
-                     cyclic_table, null_table, validate)
+                     cyclic_table, null_table, product_table, validate)
 from sgclass.power import basic_open, power_semigroup, subset_product
 
 
@@ -48,8 +48,12 @@ class TestPowerSemigroup:
         with pytest.raises(PreconditionError, match="order <= 16"):
             power_semigroup(null_table(17))
 
-    def test_table_matches_subset_product(self, corpus3):
-        for table in corpus3:
+    def test_table_matches_subset_product(self, corpus4, associative3, lz2):
+        # associative3 and the two products hold non-commutative bases, so a
+        # build that swaps the operands of U x V fails here
+        z3 = cyclic_table(3)
+        noncommutative6 = [product_table(lz2, z3), product_table(z3, lz2)]
+        for table in corpus4 + associative3 + noncommutative6:
             ps = power_semigroup(table)
             for i, u in enumerate(ps.elements):
                 for j, v in enumerate(ps.elements):
@@ -66,6 +70,12 @@ class TestPowerSemigroup:
         report = validate(power_semigroup(lz2).table)
         assert report.associative
         assert not report.commutative
+
+    @pytest.mark.parametrize("x", [5, True, -1, 3])
+    def test_singleton_index_rejects_non_elements(self, l3, x):
+        ps = power_semigroup(l3)
+        with pytest.raises(PreconditionError, match="out of range"):
+            ps.singleton_index(x)
 
     def test_singleton_embedding(self, corpus3):
         for table in corpus3:
