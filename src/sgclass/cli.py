@@ -100,7 +100,7 @@ def parse_table(text, require_associative=True) -> CayleyTable:
         raise TableParseError("no data lines")
     if len(rows) != n:
         raise TableParseError("expected %d rows, got %d" % (n, len(rows)))
-    table = CayleyTable(rows)
+    table = CayleyTable._trusted(rows)
     if require_associative:
         report = validate(table)
         if not report.associative:
@@ -292,8 +292,49 @@ def render_descriptor(d) -> str:
 
 # -- commands ----------------------------------------------------------------
 
+class _Digits(dict):
+    # memo of the decimal text of each int written
+    def __missing__(self, x):
+        text = self[x] = int.__repr__(x)
+        return text
+
+
+def _json_text(obj):
+    """The text of json.dumps(obj, sort_keys=True, indent=2), written faster.
+
+    With an indent, `json` falls back to its pure-Python encoder, which
+    visits every table cell in Python.  Here a list whose items are all of
+    type exactly int (never bool) is written with one join over memoised
+    digit strings; every other scalar goes to the C encoder, which keeps
+    ensure_ascii, NaN and the float repr.  Dict keys must be str.
+    """
+    scalar = json.JSONEncoder().encode
+    digits = _Digits()
+
+    def write(x, pad):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(x, dict):
+            if not x:
+                return "{}"
+            body = sep.join([scalar(k) + ": " + write(x[k], inner)
+                             for k in sorted(x)])
+            return "{\n" + inner + body + "\n" + pad + "}"
+        if isinstance(x, (list, tuple)):
+            if not x:
+                return "[]"
+            if set(map(type, x)) == {int}:
+                body = sep.join(map(digits.__getitem__, x))
+            else:
+                body = sep.join([write(v, inner) for v in x])
+            return "[\n" + inner + body + "\n" + pad + "]"
+        return scalar(x)
+
+    return write(obj, "")
+
+
 def _print_json(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json_text(obj))
 
 
 def _sorted(xs):
@@ -307,9 +348,9 @@ def cmd_validate(args):
         _print_json({
             "order": table.n,
             "associative": report.associative,
-            "assoc_witness": list(report.assoc_witness) if report.assoc_witness else None,
+            "assoc_witness": report.assoc_witness,
             "commutative": report.commutative,
-            "comm_witness": list(report.comm_witness) if report.comm_witness else None,
+            "comm_witness": report.comm_witness,
         })
     else:
         print("order: %d" % table.n)
@@ -357,9 +398,9 @@ def cmd_analyze(args):
             "order": table.n,
             "commutative": report.commutative,
             "idempotents": sorted(es),
-            "natural_order_covers": [list(c) for c in covers],
+            "natural_order_covers": covers,
             "h_classes": [sorted(h) for h in classes],
-            "pi": list(pi) if pi else None,
+            "pi": pi,
             "pi_note": pi_note,
             "center": sorted(center(table)),
             "clifford_part": sorted(clifford_part(table)),
@@ -440,8 +481,8 @@ def cmd_quotient(args):
             args.table, " ".join("%d=%d" % p for p in pairs))
     if args.json:
         out = {"order": quotient.n,
-               "table": [list(r) for r in quotient.op],
-               "projection": list(proj)}
+               "table": quotient.op,
+               "projection": proj}
         out.update(detail)
         _print_json(out)
     else:
@@ -459,7 +500,7 @@ def cmd_power(args):
             "base_order": table.n,
             "order": ps.table.n,
             "elements": [sorted(s) for s in ps.elements],
-            "table": [list(r) for r in ps.table.op],
+            "table": ps.table.op,
         })
     else:
         print("base order: %d" % table.n)
@@ -477,7 +518,7 @@ def cmd_enumerate(args):
             "order": args.order,
             "up_to_iso": args.up_to_iso,
             "count": len(tables),
-            "tables": [[list(r) for r in t.op] for t in tables],
+            "tables": [t.op for t in tables],
         })
         return 0
     if args.out:
@@ -524,7 +565,7 @@ def cmd_suite(args):
             "ok": not failures,
             "failures": [
                 {"order": n, "index": idx,
-                 "table": [list(r) for r in t.op],
+                 "table": t.op,
                  "failed": [r.name for r in rep.failures],
                  "replay": path}
                 for (n, idx, t, rep), path in zip(failures, replay_paths)

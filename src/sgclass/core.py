@@ -25,6 +25,12 @@ class CayleyTable:
 
     Shape and entry ranges are checked on construction.  Associativity is
     not: run `validate` once and the remaining operations assume it.
+
+    `_trusted` skips the checks and is used only where every cell is in
+    range by construction: the power-semigroup recurrence (cells are subset
+    indices), the enumeration kernel's tables, `cli.parse_table` after it
+    has checked every row and entry, and the two quotient builders, whose
+    cells are class indices of a checked congruence or Rees projection.
     """
 
     __slots__ = ("n", "op")
@@ -45,6 +51,15 @@ class CayleyTable:
                         % (i, j, v, n))
         self.n = n
         self.op = rows
+
+    @classmethod
+    def _trusted(cls, rows):
+        # rows already form an n-by-n table over [0, n); op must still be a
+        # tuple of tuples, since equality and hashing compare it
+        self = object.__new__(cls)
+        self.op = tuple(map(tuple, rows))
+        self.n = len(self.op)
+        return self
 
     @property
     def elements(self):
@@ -359,6 +374,12 @@ def adjoin_identity(table: CayleyTable) -> CayleyTable:
 def relabel(table: CayleyTable, perm) -> CayleyTable:
     """Apply a permutation of the element indices."""
     n = table.n
+    perm = tuple(perm)
+    for p in perm:
+        _check_element(table, p, "relabeling entry")
+    if len(perm) != n or len(set(perm)) != n:
+        raise PreconditionError("relabeling %r is not a permutation of range(%d)"
+                                % (perm, n))
     inv = [0] * n
     for a, b in enumerate(perm):
         inv[b] = a

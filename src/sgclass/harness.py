@@ -27,7 +27,7 @@ def kernel_backend() -> str:
 
 
 def _unflatten(flat, n):
-    return CayleyTable([flat[i * n:(i + 1) * n] for i in range(n)])
+    return CayleyTable._trusted([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 def enumerate_commutative(n, up_to_iso=False):

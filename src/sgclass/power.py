@@ -75,8 +75,9 @@ def power_semigroup(base) -> PowerSemigroup:
     member u, OR-ed cell by cell with the image of u (the mask of uV for
     every V), and each image entry extends a smaller one by one product.
     That costs n * 2^n image entries plus (2^n - 1)^2 cells at one OR each.
-    Rows are built as tuples in index space, which the table keeps as they
-    are, so the memory is one (2^n - 1)-square table.  Guarded to base order
+    Rows are built as tuples in index space, in range by construction, which
+    the table keeps as they are without re-checking them, so the memory is
+    one (2^n - 1)-square table.  Guarded to base order
     <= 16 so masks stay in machine range.
     """
     n = base.n
@@ -105,7 +106,7 @@ def power_semigroup(base) -> PowerSemigroup:
             rows.append(tuple([((a + 1) | b) - 1
                                for a, b in zip(rows[mu - low - 1], image)]))
     elements = tuple(frozenset(members[m]) for m in range(1, size + 1))
-    return PowerSemigroup(base, elements, CayleyTable(rows))
+    return PowerSemigroup(base, elements, CayleyTable._trusted(rows))
 
 
 def basic_open(table, u) -> list:

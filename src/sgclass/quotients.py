@@ -179,7 +179,7 @@ def quotient_by_congruence(table, cong) -> tuple:
     cf = cong.class_of
     reps = [min(c) for c in cong.classes]
     rows = [[cf[table.op[a][b]] for b in reps] for a in reps]
-    return CayleyTable(rows), cf
+    return CayleyTable._trusted(rows), cf
 
 
 def rees_quotient(table, ideal) -> tuple:
@@ -199,7 +199,7 @@ def rees_quotient(table, ideal) -> tuple:
     rows = [[0] * size]
     for x in keep:
         rows.append([0] + [proj[table.op[x][y]] for y in keep])
-    return CayleyTable(rows), tuple(proj)
+    return CayleyTable._trusted(rows), tuple(proj)
 
 
 def lift_idempotent(table, cong, e_class) -> int:

@@ -218,6 +218,44 @@ class TestRenderRoundTrip:
         assert render_descriptor(d) == text
 
 
+_json_scalar_st = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64), st.integers(max_value=-2 ** 64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1f) | st.characters(min_codepoint=0x80)),
+)
+
+_json_st = st.recursive(
+    st.one_of(
+        _json_scalar_st,
+        st.lists(st.integers(-3, 300)),
+        st.lists(st.integers() | st.booleans()).map(tuple),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_st)
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), [[]], {"": {}}, [True, 1, False, 0], [1, 2.0],
+        [float("nan"), float("inf"), -float("inf")], [2 ** 70, -2 ** 70],
+        {"\u00e9\n\x00": ["\ud800", "\U0001f600"]}, ((0, 1), (1, 0)),
+    ])
+    def test_edge_cases(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 def grammar_of(text):
     """The descriptor grammar in `text`, from `desc :=` to the end of the
     `slspec :=` line, with runs of whitespace collapsed to one space."""

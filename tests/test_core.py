@@ -397,6 +397,12 @@ class TestBuilders:
             for y in range(5):
                 assert t.op[perm[x]][perm[y]] == perm[t5.op[x][y]]
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 5], [0, 1],
+                                      [0, 1, 2, 3], [0, True, 2]])
+    def test_relabel_rejects_non_permutations(self, z3, perm):
+        with pytest.raises(PreconditionError):
+            relabel(z3, perm)
+
     def test_restrict_rejects_unclosed(self, z3):
         with pytest.raises(PreconditionError, match="not closed"):
             restrict(z3, {0, 1})

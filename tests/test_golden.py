@@ -85,11 +85,11 @@ def write_files(directory):
         (directory / name).write_text(render_table(table))
 
 
-def stdout_of(argv):
+def stdout_of(argv, code=0):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert code == 0, argv
+        got = main(argv)
+    assert got == code, argv
     return out.getvalue()
 
 
@@ -153,6 +153,39 @@ POWER_DIGESTS = {
 }
 
 
+# sha256 and exit code of the stdout of every other `--json` report, taken
+# while `--json` still went through json.dumps(obj, sort_keys=True, indent=2).
+JSON_FILES = {
+    "T5.tbl": taimanov_table(5),
+    "skew3.tbl": CayleyTable([[0, 0, 1], [2, 1, 0], [0, 1, 2]]),
+    "lz2_x_z3.tbl": product_table(CayleyTable([[0, 0], [1, 1]]),
+                                  cyclic_table(3)),
+}
+JSON_DIGESTS = {
+    "validate associative": (
+        ["validate", "lz2_x_z3.tbl", "--json"], 0,
+        "b8c92ce04b39008c6a7375b89180448e143c87b8fe7029b73d7087adf6b3cc21"),
+    "validate non-associative": (
+        ["validate", "skew3.tbl", "--json"], 1,
+        "f06ec8542e9d68b0c566ee945254493ca0df6a9c86ddac28c2c0d4f132b0ed86"),
+    "quotient pairs": (
+        ["quotient", "--pairs", "0=1", "lz2_x_z3.tbl", "--json"], 0,
+        "222cb22d6efc5ed30826d17b97ccdc9f1c5ba0d3d384990fe251341034cfbc62"),
+    "quotient ideal": (
+        ["quotient", "--ideal", "0,1", "T5.tbl", "--json"], 0,
+        "6da8862714bc290f0ca1a8a9d703f36017a3e6fdc0b4ce7ab872ffd33223ec3d"),
+    "enumerate 4": (
+        ["enumerate", "--order", "4", "--json"], 0,
+        "b71fdaf375a6d3238069c0acb3b2812e1600926581595d10968b51cca5b87f5f"),
+    "enumerate 5 up to iso": (
+        ["enumerate", "--order", "5", "--up-to-iso", "--json"], 0,
+        "6f9d3c967b2efd8eee80265cfcc57912888f4ac3c3686382cca121f9b0693657"),
+    "suite 3": (
+        ["suite", "--max-order", "3", "--json"], 0,
+        "299fb2c951de80444189fc66f55c87b1606e8e7022c0129de81e1cd3fd3a13b7"),
+}
+
+
 @pytest.fixture
 def table_dir(tmp_path, monkeypatch):
     write_files(tmp_path)
@@ -194,6 +227,16 @@ def test_large_base_power_bytes(name, tmp_path, monkeypatch):
     path = tmp_path / ("%s.tbl" % name)
     path.write_text(render_table(table))
     out = stdout_of(["power", path.name, "--json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DIGESTS))
+def test_json_report_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for file, table in JSON_FILES.items():
+        (tmp_path / file).write_text(render_table(table))
+    argv, code, digest = JSON_DIGESTS[name]
+    out = stdout_of(argv, code)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
