@@ -109,14 +109,22 @@ def parse_table(text, require_associative=True) -> CayleyTable:
     return table
 
 
+class _Digits(dict):
+    # memo of the decimal text of each int written
+    def __missing__(self, x):
+        text = self[x] = int.__repr__(x)
+        return text
+
+
 def render_table(table, comment=None) -> str:
     lines = []
     if comment:
         for part in comment.splitlines():
             lines.append("# %s" % part)
     lines.append(str(table.n))
+    digits = _Digits()
     for row in table.op:
-        lines.append(" ".join(str(v) for v in row))
+        lines.append(" ".join(map(digits.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -291,13 +299,6 @@ def render_descriptor(d) -> str:
 
 
 # -- commands ----------------------------------------------------------------
-
-class _Digits(dict):
-    # memo of the decimal text of each int written
-    def __missing__(self, x):
-        text = self[x] = int.__repr__(x)
-        return text
-
 
 def _json_text(obj):
     """The text of json.dumps(obj, sort_keys=True, indent=2), written faster.
