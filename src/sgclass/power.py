@@ -77,8 +77,8 @@ def power_semigroup(base) -> PowerSemigroup:
     That costs n * 2^n image entries plus (2^n - 1)^2 cells at one OR each.
     Rows are built as tuples in index space, in range by construction, which
     the table keeps as they are without re-checking them, so the memory is
-    one (2^n - 1)-square table.  Guarded to base order
-    <= 16 so masks stay in machine range.
+    one (2^n - 1)-square table.  Guarded to base order <= 16 so masks stay
+    in machine range.
     """
     n = base.n
     if n > MAX_BASE_ORDER:
