@@ -242,7 +242,7 @@ _json_st = st.recursive(
 
 
 class TestJsonWriter:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_json_st)
     def test_matches_json_dumps(self, obj):
         assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
