@@ -151,10 +151,10 @@ def idempotents(table) -> frozenset:
 
 
 def natural_le(table, e, f) -> bool:
-    """e <= f in the natural order on idempotents: ef = e."""
+    """e <= f in the natural order on idempotents: ef = fe = e."""
     _check_idempotent(table, e)
     _check_idempotent(table, f)
-    return table.op[e][f] == e
+    return table.op[e][f] == e == table.op[f][e]
 
 
 def _max_clique(verts, adj, best=()):

@@ -369,6 +369,13 @@ class TestCommands:
         assert main(["quotient", "--ideal", "2", l3_file]) == 2
         assert "not an ideal" in capsys.readouterr().err
 
+    # "--pairs -1=0" would read as an option, so the value is attached
+    @pytest.mark.parametrize("option", ["--ideal=0,7", "--ideal=-1",
+                                        "--pairs=0=9", "--pairs=-1=0"])
+    def test_quotient_out_of_range_exits_two(self, option, l3_file, capsys):
+        assert main(["quotient", option, l3_file]) == 2
+        assert "out of range" in capsys.readouterr().err
+
     def test_power(self, tmp_path, capsys):
         path = tmp_path / "c2.tbl"
         path.write_text("2\n0 0\n0 1\n")

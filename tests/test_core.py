@@ -96,6 +96,21 @@ class TestNaturalLe:
     def test_reflexive(self, z3):
         assert natural_le(z3, 0, 0)
 
+    def test_two_sided_on_a_left_zero_band(self, lz2):
+        # ef = e holds both ways here, but fe = f, so neither is below
+        assert not natural_le(lz2, 0, 1)
+        assert not natural_le(lz2, 1, 0)
+
+    def test_is_a_partial_order(self, associative3):
+        for table in associative3:
+            es = sorted(idempotents(table))
+            for e, f in product(es, repeat=2):
+                if e != f and natural_le(table, e, f):
+                    assert not natural_le(table, f, e)
+                for g in es:
+                    if natural_le(table, e, f) and natural_le(table, f, g):
+                        assert natural_le(table, e, g)
+
     def test_rejects_non_idempotent(self, z3):
         with pytest.raises(PreconditionError, match="not idempotent"):
             natural_le(z3, 1, 0)

@@ -7,7 +7,8 @@ rendering and the exact stdout of `sgclass classify EXPR`, as text and as
 depend on where the tests run.
 
 golden_tables.json holds, for every table in TABLES (one per isomorphism
-class of order <= 4, plus five order-8 formula tables), its rows and the
+class of order <= 4, five order-8 formula tables, and the non-commutative
+left-zero band and its product with Z3), its rows and the
 sha256 of the stdout of `analyze FILE` and `analyze FILE --json`, and for
 tables of order <= 3 also of `power FILE --json`.  POWER_DIGESTS below pins
 `power FILE --json` on two larger bases, one of them non-commutative.
@@ -122,6 +123,9 @@ def _tables():
         "taimanov8": taimanov_table(8),
         "antichain_zero8": antichain_zero_table(8),
         "adjoin_zero_cyclic7": adjoin_zero(cyclic_table(7)),
+        "left_zero2": CayleyTable([[0, 0], [1, 1]]),
+        "left_zero2_x_cyclic3": product_table(CayleyTable([[0, 0], [1, 1]]),
+                                              cyclic_table(3)),
     })
     return tables
 
