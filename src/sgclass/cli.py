@@ -27,8 +27,8 @@ from dataclasses import fields
 
 from .classify import classify, explain
 from .core import (CayleyTable, PreconditionError, center, clifford_part,
-                   h_class, idempotents, max_chain_length, natural_le, pi_map,
-                   validate)
+                   h_classes, idempotents, max_chain_length, natural_le,
+                   pi_map, validate)
 from .descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA, SEMILATTICE_WORDS,
                           Factor, FinitePoset, FiniteTable, Group, GroupSpec,
                           NotCommutativeError, Semilattice, describe, spell)
@@ -377,16 +377,10 @@ def _hasse_pairs(table):
 
 def cmd_analyze(args):
     table = load_table_file(args.table)
-    report = validate(table)
+    z = center(table)
     es = idempotents(table)
     covers = _hasse_pairs(table)
-    classes = []
-    seen = set()
-    for x in table.elements:
-        h = h_class(table, x)
-        if h not in seen:
-            seen.add(h)
-            classes.append(h)
+    classes = list(dict.fromkeys(h_classes(table)))
     try:
         pi = pi_map(table)
         pi_note = None
@@ -397,19 +391,19 @@ def cmd_analyze(args):
     if args.json:
         _print_json({
             "order": table.n,
-            "commutative": report.commutative,
+            "commutative": len(z) == table.n,
             "idempotents": sorted(es),
             "natural_order_covers": covers,
             "h_classes": [sorted(h) for h in classes],
             "pi": pi,
             "pi_note": pi_note,
-            "center": sorted(center(table)),
+            "center": sorted(z),
             "clifford_part": sorted(clifford_part(table)),
             "max_chain": {"length": length, "witness": sorted(chain)},
         })
     else:
         print("order: %d" % table.n)
-        print("commutative: %s" % ("yes" if report.commutative else "no"))
+        print("commutative: %s" % ("yes" if len(z) == table.n else "no"))
         print("idempotents: %s" % _sorted(es))
         print("natural order covers: %s"
               % (" ".join("%d<%d" % c for c in covers) or "(none)"))
@@ -419,7 +413,7 @@ def cmd_analyze(args):
                                       for x in table.elements))
         else:
             print("pi: undefined (%s)" % pi_note)
-        print("center: %s" % _sorted(center(table)))
+        print("center: %s" % _sorted(z))
         print("clifford part: %s" % _sorted(clifford_part(table)))
         print("max chain: %d (witness: %s)" % (length, _sorted(chain)))
     return 0
@@ -468,13 +462,13 @@ def cmd_classify(args):
 def cmd_quotient(args):
     table = load_table_file(args.table)
     if args.ideal is not None:
-        elems = _parse_elems(args.ideal, table.n)
+        elems = _parse_elems(args.ideal)
         quotient, proj = rees_quotient(table, elems)
         detail = {"ideal": sorted(elems)}
         comment = "quotient of %s by the ideal {%s}" % (args.table,
                                                         _sorted(elems))
     else:
-        pairs = _parse_pairs(args.pairs, table.n)
+        pairs = _parse_pairs(args.pairs)
         cong = congruence_closure(table, pairs)
         quotient, proj = quotient_by_congruence(table, cong)
         detail = {"classes": [sorted(c) for c in cong.classes]}
@@ -548,7 +542,7 @@ def cmd_suite(args):
             report = lemma_suite(table)
             if not report.ok:
                 failures.append((n, idx, table, report))
-    replay_paths = []
+    replays = []
     if failures:
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
@@ -557,7 +551,7 @@ def cmd_suite(args):
             path = os.path.join(out, "suite_fail_order%d_%04d.tbl" % (n, idx))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render_table(table, comment="failed checks: %s" % names))
-            replay_paths.append(path)
+            replays.append((names, path))
     if args.json:
         _print_json({
             "max_order": args.max_order,
@@ -569,12 +563,11 @@ def cmd_suite(args):
                  "table": t.op,
                  "failed": [r.name for r in rep.failures],
                  "replay": path}
-                for (n, idx, t, rep), path in zip(failures, replay_paths)
+                for (n, idx, t, rep), (_, path) in zip(failures, replays)
             ],
         })
     elif failures:
-        for (n, idx, table, report), path in zip(failures, replay_paths):
-            names = ", ".join(r.name for r in report.failures)
+        for (n, idx, _, _), (names, path) in zip(failures, replays):
             print("FAIL order %d table %d: %s (replay: %s)"
                   % (n, idx, names, path))
     else:
@@ -583,19 +576,14 @@ def cmd_suite(args):
     return 1 if failures else 0
 
 
-def _parse_elems(text, n):
+def _parse_elems(text):
     try:
-        elems = [int(tok) for tok in text.replace(",", " ").split()]
+        return frozenset(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise PreconditionError("ideal elements must be integers: %r" % text)
-    for x in elems:
-        if not 0 <= x < n:
-            raise PreconditionError("ideal element %d out of range [0, %d)"
-                                    % (x, n))
-    return frozenset(elems)
 
 
-def _parse_pairs(text, n):
+def _parse_pairs(text):
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -608,8 +596,6 @@ def _parse_pairs(text, n):
             x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise PreconditionError("pair members must be integers: %r" % chunk)
-        if not (0 <= x < n and 0 <= y < n):
-            raise PreconditionError("pair %r out of range [0, %d)" % (chunk, n))
         pairs.append((x, y))
     return pairs
 

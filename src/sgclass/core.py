@@ -107,6 +107,7 @@ def _check_idempotent(table, e):
 
 
 def _check_subset(table, subset):
+    subset = list(subset)  # any iterable, consumed once
     for x in subset:
         _check_element(table, x, "subset member")
     return frozenset(subset)
@@ -202,35 +203,27 @@ def center(table) -> frozenset:
                      if all(op[z][x] == op[x][z] for x in range(n)))
 
 
-def _right_ideal(table, a):
-    # aS^1 = {a} | aS, with the identity adjoined virtually
-    return frozenset((a,)) | frozenset(table.op[a])
-
-
-def _left_ideal(table, a):
-    op = table.op
-    return frozenset((a,)) | frozenset(op[x][a] for x in range(table.n))
-
-
 def h_class(table, a) -> frozenset:
-    """Elements generating the same principal left and right ideals as a.
+    """Elements generating the same principal left and right ideals as a;
+    entry a of `h_classes`.
 
     For an idempotent e this is the maximal subgroup containing e.
     """
     _check_element(table, a)
-    ra = _right_ideal(table, a)
-    la = _left_ideal(table, a)
-    return frozenset(x for x in table.elements
-                     if _right_ideal(table, x) == ra and _left_ideal(table, x) == la)
+    return h_classes(table)[a]
 
 
 def h_classes(table) -> tuple:
-    """The H-class of every element in one pass: entry x is h_class(table, x).
+    """The H-class of every element in one pass: entry x is the class of x.
 
-    Each element is keyed by its pair of principal ideals (xS^1, S^1x), so
-    the table's 2n ideals are built once rather than once per class.
+    The one routine that builds principal ideals.  Each element is keyed by
+    its pair of principal ideals (xS^1, S^1x), with the identity adjoined
+    virtually, so the table's 2n ideals are built once rather than once per
+    class.
     """
-    keys = [(_right_ideal(table, x), _left_ideal(table, x))
+    op = table.op
+    cols = tuple(zip(*op))
+    keys = [(frozenset(op[x]) | {x}, frozenset(cols[x]) | {x})
             for x in table.elements]
     members = {}
     for x, key in enumerate(keys):
@@ -240,11 +233,9 @@ def h_classes(table) -> tuple:
 
 
 def clifford_part(table) -> frozenset:
-    """Union of the maximal subgroups (H-classes of idempotents)."""
-    out = frozenset()
-    for e in sorted(idempotents(table)):
-        out |= h_class(table, e)
-    return out
+    """Union of the maximal subgroups: the `h_classes` of the idempotents."""
+    hs = h_classes(table)
+    return frozenset().union(*(hs[e] for e in idempotents(table)))
 
 
 def _powers(table, x):

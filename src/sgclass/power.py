@@ -86,8 +86,6 @@ def power_semigroup(base) -> PowerSemigroup:
             "power semigroup is limited to base order <= %d (got %d)"
             % (MAX_BASE_ORDER, n))
     size = (1 << n) - 1
-    members = [tuple(b for b in range(n) if (m >> b) & 1)
-               for m in range(size + 1)]
     images = []
     for ru in base.op:
         image = [0] * (size + 1)
@@ -105,7 +103,7 @@ def power_semigroup(base) -> PowerSemigroup:
         else:
             rows.append(tuple([((a + 1) | b) - 1
                                for a, b in zip(rows[mu - low - 1], image)]))
-    elements = tuple(frozenset(members[m]) for m in range(1, size + 1))
+    elements = tuple(map(_subset_of, range(1, size + 1)))
     return PowerSemigroup(base, elements, CayleyTable._trusted(rows))
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .core import CayleyTable, PreconditionError, idempotents
+from .core import (CayleyTable, PreconditionError, _check_element,
+                   _check_subset, center, idempotents)
 
 # The suite's order frontier sets this guard; the cost of the pruned search
 # is not what limits it.
@@ -13,7 +14,7 @@ MAX_CONGRUENCE_ORDER = 6
 
 def ideal_violation(table, subset):
     """First (a, x, side) with a product of the subset escaping it, or None."""
-    subset = frozenset(subset)
+    subset = _check_subset(table, subset)
     op = table.op
     for a in sorted(subset):
         for x in range(table.n):
@@ -32,7 +33,7 @@ def is_ideal(table, subset) -> bool:
 def generated_ideal(table, seed) -> frozenset:
     """Least ideal containing the seed: close under left/right products."""
     op = table.op
-    ideal = set(seed)
+    ideal = set(_check_subset(table, seed))
     work = sorted(ideal)
     while work:
         a = work.pop()
@@ -119,8 +120,8 @@ def congruence_closure(table, pairs) -> Congruence:
 
     work = [tuple(p) for p in pairs]
     for x, y in work:
-        if not (0 <= x < n and 0 <= y < n):
-            raise PreconditionError("pair (%r, %r) out of range" % (x, y))
+        _check_element(table, x, "pair member")
+        _check_element(table, y, "pair member")
     while work:
         x, y = work.pop()
         rx, ry = find(x), find(y)
@@ -210,8 +211,7 @@ def lift_idempotent(table, cong, e_class) -> int:
     For a commutative table the product of those idempotents is the least,
     and its subgroup projects onto the subgroup of the quotient idempotent.
     """
-    if any(table.op[x][y] != table.op[y][x]
-           for x in range(table.n) for y in range(x + 1, table.n)):
+    if len(center(table)) != table.n:
         raise PreconditionError("idempotent lifting requires a commutative table")
     _check_congruence(table, cong)
     if not 0 <= e_class < len(cong.classes):

@@ -10,7 +10,8 @@ from sgclass import (CayleyTable, PreconditionError, chain_table,
 from sgclass._kernel import canonical_form
 from sgclass.quotients import (Congruence, congruence_closure,
                                congruence_violation, congruences,
-                               generated_ideal, is_congruence, is_ideal,
+                               generated_ideal, ideal_violation,
+                               is_congruence, is_ideal,
                                lift_idempotent, quotient_by_congruence,
                                rees_congruence, rees_quotient)
 
@@ -63,6 +64,10 @@ class TestGeneratedIdeal:
     def test_taimanov(self, t5):
         assert generated_ideal(t5, {4}) == {0, 1, 4}
 
+    def test_seed_may_be_any_iterable(self, l3):
+        assert generated_ideal(l3, iter([1])) == {0, 1}
+        assert ideal_violation(l3, (x for x in (0, 1))) is None
+
     def test_result_is_least(self, corpus3):
         for table in corpus3:
             for x in table.elements:
@@ -71,6 +76,23 @@ class TestGeneratedIdeal:
                 # least: drop any non-seed element and absorption breaks
                 for y in sorted(ideal - {x}):
                     assert not is_ideal(table, ideal - {y})
+
+
+class TestNonElements:
+    # a negative index would wrap round and a large one raise IndexError
+
+    @pytest.mark.parametrize("subset", [{0, -1}, {-1}, {5}, {0, 3}, {True}])
+    @pytest.mark.parametrize("routine", [ideal_violation, is_ideal,
+                                         generated_ideal, rees_congruence,
+                                         rees_quotient])
+    def test_ideal_routines_refuse_them(self, routine, subset, n3):
+        with pytest.raises(PreconditionError, match="out of range"):
+            routine(n3, subset)
+
+    @pytest.mark.parametrize("pair", [(0, 1.5), (0, 3), (-1, 0), (0, None)])
+    def test_congruence_closure_refuses_them(self, pair, z3):
+        with pytest.raises(PreconditionError, match="out of range"):
+            congruence_closure(z3, [(0, 0), pair])
 
 
 class TestReesQuotient:
