@@ -9,6 +9,7 @@ per isomorphism class.
 from itertools import chain, permutations
 
 _RELABELINGS = {}
+_RELABELING_GROUPS = {}
 
 
 def _relabelings(n):
@@ -28,6 +29,23 @@ def _relabelings(n):
                                     for i in range(n) for j in range(n))))
         _RELABELINGS[n] = tuple(out)
     return _RELABELINGS[n]
+
+
+def _relabeling_groups(n):
+    """`_relabelings(n)` grouped by the pair (x, y) sent to (0, 1).
+
+    Each entry is (x, y, x*n + x, x*n + y, members): an image of a flat
+    table f under any member starts with perm[f[x*n + x]], perm[f[x*n + y]].
+    Empty groups are left out.
+    """
+    if n not in _RELABELING_GROUPS:
+        groups = {}
+        for perm, src in _relabelings(n):
+            groups.setdefault((src[0] // n, src[1] % n), []).append((perm, src))
+        _RELABELING_GROUPS[n] = tuple(
+            (x, y, x * n + x, x * n + y, tuple(members))
+            for (x, y), members in sorted(groups.items()))
+    return _RELABELING_GROUPS[n]
 
 
 def commutative_tables(n, lex_least=False):
@@ -109,19 +127,59 @@ def is_canonical(flat, n, rows):
     row-major order over those rows and counts as undecided at its first
     unset cell, so a False answer holds for every completion of a partial
     table.
+
+    The relabelings are visited in groups that send the same pair (x, y) to
+    (0, 1) (`_relabeling_groups`).  Every image in a group starts with
+    perm[x*x], perm[x*y], and each of those two cells is known exactly when
+    the product is x (giving 0) or y (giving 1), and known to be at least 2
+    otherwise.  A table with 0*0 >= 2 is beaten at once, by a relabeling
+    that fixes 0 and sends 0*0 to 1.  Otherwise a group whose image is
+    unset, or larger than the table, at the first cell where they differ is
+    skipped whole; one whose image is smaller there gives False at once;
+    only the rest are compared image by image, from the first cell not
+    known to be equal.  The answer does not depend on the order in which
+    the relabelings are visited.
     """
     end = rows * n
-    for perm, src in _relabelings(n):
-        for k in range(end):
-            a = flat[src[k]]
-            if a < 0:
-                break
-            v = perm[a]
-            w = flat[k]
-            if v != w:
-                if v < w:
+    if end < 2:
+        return True  # no relabeling when n = 1; nothing compared when rows = 0
+    w0, w1 = flat[0], flat[1]
+    if w0 > 1:
+        return False  # fixing 0 and sending 0*0 to 1 starts the image with 1
+    for x, y, xx, xy, members in _relabeling_groups(n):
+        a = flat[xx]
+        if a < 0:
+            continue
+        v = 0 if a == x else 1 if a == y else 2
+        if v != w0:  # w0 < 2, so an inexact v is larger
+            if v < w0:
+                return False
+            continue
+        a = flat[xy]
+        if a < 0:
+            continue
+        v = 0 if a == x else 1 if a == y else 2
+        start = 2
+        if v < 2:
+            if v != w1:
+                if v < w1:
                     return False
-                break
+                continue
+        elif w1 < 2:
+            continue
+        else:
+            start = 1
+        for perm, src in members:
+            for k in range(start, end):
+                a = flat[src[k]]
+                if a < 0:
+                    break
+                v = perm[a]
+                w = flat[k]
+                if v != w:
+                    if v < w:
+                        return False
+                    break
     return True
 
 

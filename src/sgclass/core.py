@@ -30,7 +30,8 @@ class CayleyTable:
     range by construction: the power-semigroup recurrence (cells are subset
     indices), the enumeration kernel's tables, `cli.parse_table` after it
     has checked every row and entry, and the two quotient builders, whose
-    cells are class indices of a checked congruence or Rees projection.
+    cells are class indices of a Rees projection or of a congruence that was
+    checked or yielded by `congruences()`.
     """
 
     __slots__ = ("n", "op")

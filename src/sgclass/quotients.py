@@ -50,16 +50,30 @@ class Congruence:
 
     Compatibility with a table is a separate check (`congruence_violation`);
     `congruence_closure` always produces compatible partitions.
+
+    The constructor checks that the classes are nonempty sets of ints that
+    partition 0..n-1.  `_trusted` skips those checks and is used only by
+    `congruences()`, whose restricted-growth labels give the classes, in
+    order of least member, and `class_of` directly.
     """
 
     __slots__ = ("n", "classes", "class_of")
 
     def __init__(self, classes):
-        classes = tuple(sorted((frozenset(c) for c in classes), key=min))
-        seen = {}
-        for idx, cls in enumerate(classes):
+        try:
+            classes = [frozenset(c) for c in classes]
+        except TypeError:
+            raise PreconditionError(
+                "congruence classes must be iterables of ints") from None
+        for cls in classes:
             if not cls:
                 raise PreconditionError("congruence classes must be nonempty")
+            for x in cls:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise PreconditionError("class member %r is not an int" % (x,))
+        classes = tuple(sorted(classes, key=min))
+        seen = {}
+        for idx, cls in enumerate(classes):
             for x in cls:
                 if x in seen:
                     raise PreconditionError("element %d appears in two classes" % x)
@@ -70,6 +84,16 @@ class Congruence:
         self.n = n
         self.classes = classes
         self.class_of = tuple(seen[x] for x in range(n))
+
+    @classmethod
+    def _trusted(cls, classes, class_of):
+        # classes: a tuple of frozensets ordered by least member, partitioning
+        # 0..n-1; class_of: a tuple mapping each element to its class index
+        self = object.__new__(cls)
+        self.n = len(class_of)
+        self.classes = classes
+        self.class_of = class_of
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -177,6 +201,11 @@ def quotient_by_congruence(table, cong) -> tuple:
     rejected with a witnessing pair.
     """
     _check_congruence(table, cong)
+    return _quotient(table, cong)
+
+
+def _quotient(table, cong) -> tuple:
+    # quotient_by_congruence past its check, for a congruence of the table
     cf = cong.class_of
     reps = [min(c) for c in cong.classes]
     rows = [[cf[table.op[a][b]] for b in reps] for a in reps]
@@ -236,8 +265,10 @@ def congruences(table):
     is a congruence iff x ~ y implies u ~ v for every quadruple with
     (u, v) = (ax, ay) or (xa, ya).  Each quadruple is checked as soon as
     the largest of its four elements is labeled, and a broken one cuts the
-    branch, so the leaves are exactly the congruences.  Guarded to order
-    <= MAX_CONGRUENCE_ORDER.
+    branch, so the leaves are exactly the congruences.  Each leaf is built
+    with `Congruence._trusted`: its classes, in label order, are already
+    ordered by least member, and the labels are its `class_of`.  Guarded to
+    order <= MAX_CONGRUENCE_ORDER.
     """
     n = table.n
     if n > MAX_CONGRUENCE_ORDER:
@@ -259,12 +290,16 @@ def congruences(table):
             classes = [[] for _ in range(top + 1)]
             for x, c in enumerate(label):
                 classes[c].append(x)
-            yield Congruence(classes)
+            yield Congruence._trusted(tuple(map(frozenset, classes)),
+                                      tuple(label))
             return
+        checks = due[i]
         for c in range(top + 2):
             label[i] = c
-            if all(label[x] != label[y] or label[u] == label[v]
-                   for x, y, u, v in due[i]):
+            for x, y, u, v in checks:
+                if label[x] == label[y] and label[u] != label[v]:
+                    break
+            else:
                 yield from extend(i + 1, max(top, c))
 
     yield from extend(0, -1)

@@ -71,10 +71,10 @@ def collapsed_projections(monkeypatch):
     Both quotient checks then fail on the two-element semilattice, at the
     identity congruence; the lift check also fails on the group of order 2.
     """
-    real = harness.quotient_by_congruence
+    real = harness._quotient
 
     def collapsed(table, cong):
         quotient, proj = real(table, cong)
         return quotient, tuple(0 for _ in proj)
 
-    monkeypatch.setattr(harness, "quotient_by_congruence", collapsed)
+    monkeypatch.setattr(harness, "_quotient", collapsed)

@@ -131,7 +131,7 @@ class TestLemmaSuite:
             self, corpus4, monkeypatch):
         calls = {"congruences": 0, "quotients": 0}
         real_congruences = harness.congruences
-        real_quotient = harness.quotient_by_congruence
+        real_quotient = harness._quotient
 
         def counted_congruences(table):
             calls["congruences"] += 1
@@ -142,8 +142,7 @@ class TestLemmaSuite:
             return real_quotient(table, cong)
 
         monkeypatch.setattr(harness, "congruences", counted_congruences)
-        monkeypatch.setattr(harness, "quotient_by_congruence",
-                            counted_quotient)
+        monkeypatch.setattr(harness, "_quotient", counted_quotient)
         for table in corpus4:
             calls.update(congruences=0, quotients=0)
             assert lemma_suite(table).ok

@@ -169,6 +169,28 @@ class TestCongruenceClosure:
                     for a in cls for b in cls)
 
 
+class TestCongruenceConstructor:
+    def test_classes_sorted_by_least_member(self):
+        cong = Congruence([(3, 1), (2,), (0,)])
+        assert cong.classes == (frozenset({0}), frozenset({1, 3}),
+                                frozenset({2}))
+        assert cong.class_of == (0, 1, 2, 1)
+
+    @pytest.mark.parametrize("classes", [
+        [[]], [(0,), ()], [(0, "a")], [(0, 1.0)], [(0,), (True,)],
+        [(0, None)], [0, 1], [[[0]]], 5,
+    ], ids=repr)
+    def test_refuses_non_partitions_of_ints(self, classes):
+        # an empty class used to reach min() and a str the sort, which
+        # raised ValueError and TypeError; a float or a bool was accepted
+        with pytest.raises(PreconditionError):
+            Congruence(classes)
+
+    def test_refuses_a_float_member_before_any_quotient(self):
+        with pytest.raises(PreconditionError, match="not an int"):
+            quotient_by_congruence(null_table(2), Congruence([(0, 1.0)]))
+
+
 class TestQuotientByCongruence:
     def test_chain_modulo_top_pair(self, l3):
         quotient, proj = quotient_by_congruence(l3, Congruence([(0,), (1, 2)]))

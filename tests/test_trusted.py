@@ -1,16 +1,19 @@
-"""Tables built through `CayleyTable._trusted`, which skips the checks.
+"""Tables built through `CayleyTable._trusted`, and congruences built
+through `Congruence._trusted`, both of which skip the checks.
 
 Each trusted path must still give a table equal to the checked one: `op` a
 tuple of tuples of int, since equality and hashing compare `op`, and a list
-there would make equal tables compare unequal without any error.
+there would make equal tables compare unequal without any error.  Likewise
+each searched congruence must carry the same `n`, `classes` and `class_of`
+as the checked constructor would give it.
 """
 
 import pytest
 
-from sgclass import CayleyTable, cyclic_table, product_table
+from sgclass import CayleyTable, cyclic_table, harness, product_table
 from sgclass.cli import parse_table, render_table
 from sgclass.power import power_semigroup
-from sgclass.quotients import (congruences, generated_ideal,
+from sgclass.quotients import (Congruence, congruences, generated_ideal,
                                quotient_by_congruence, rees_quotient)
 
 
@@ -57,3 +60,25 @@ def test_rees_quotients(bases):
         for x in t.elements:
             assert_checked_equal(rees_quotient(t, generated_ideal(t, {x}))[0])
         assert_checked_equal(rees_quotient(t, set(t.elements))[0])
+
+
+def test_searched_congruences_equal_checked_ones(corpus5):
+    for t in corpus5:
+        for cong in congruences(t):
+            checked = Congruence(cong.classes)
+            assert cong.n == checked.n == t.n
+            assert cong.classes == checked.classes
+            assert cong.class_of == checked.class_of
+            assert type(cong.classes) is tuple
+            assert all(type(c) is frozenset for c in cong.classes)
+            assert type(cong.class_of) is tuple
+            assert cong == checked and hash(cong) == hash(checked)
+
+
+def test_suite_quotients_equal_checked_ones(corpus5):
+    # the suite skips quotient_by_congruence's check for searched congruences
+    for t in corpus5:
+        for cong in congruences(t):
+            quotient, proj = harness._quotient(t, cong)
+            assert_checked_equal(quotient)
+            assert (quotient, proj) == quotient_by_congruence(t, cong)
