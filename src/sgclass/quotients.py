@@ -61,7 +61,7 @@ class Congruence:
 
     def __init__(self, classes):
         try:
-            classes = [frozenset(c) for c in classes]
+            classes = [list(c) for c in classes]
         except TypeError:
             raise PreconditionError(
                 "congruence classes must be iterables of ints") from None
@@ -71,7 +71,7 @@ class Congruence:
             for x in cls:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise PreconditionError("class member %r is not an int" % (x,))
-        classes = tuple(sorted(classes, key=min))
+        classes = tuple(sorted(map(frozenset, classes), key=min))
         seen = {}
         for idx, cls in enumerate(classes):
             for x in cls:

@@ -178,11 +178,12 @@ class TestCongruenceConstructor:
 
     @pytest.mark.parametrize("classes", [
         [[]], [(0,), ()], [(0, "a")], [(0, 1.0)], [(0,), (True,)],
-        [(0, None)], [0, 1], [[[0]]], 5,
+        [(0,), (1, 1.0)], [(0, None)], [0, 1], [[[0]]], ["01"], 5,
     ], ids=repr)
     def test_refuses_non_partitions_of_ints(self, classes):
         # an empty class used to reach min() and a str the sort, which
-        # raised ValueError and TypeError; a float or a bool was accepted
+        # raised ValueError and TypeError; a float or a bool was accepted,
+        # or merged into an equal int member
         with pytest.raises(PreconditionError):
             Congruence(classes)
 
