@@ -181,9 +181,8 @@ class TestCongruenceConstructor:
         [(0,), (1, 1.0)], [(0, None)], [0, 1], [[[0]]], ["01"], 5,
     ], ids=repr)
     def test_refuses_non_partitions_of_ints(self, classes):
-        # an empty class used to reach min() and a str the sort, which
-        # raised ValueError and TypeError; a float or a bool was accepted,
-        # or merged into an equal int member
+        # never a bare ValueError or TypeError, and no float or bool member
+        # accepted or merged into an equal int
         with pytest.raises(PreconditionError):
             Congruence(classes)
 
