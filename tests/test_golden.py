@@ -157,8 +157,11 @@ POWER_DIGESTS = {
 }
 
 
-# sha256 and exit code of the stdout of every other `--json` report, taken
-# while `--json` still went through json.dumps(obj, sort_keys=True, indent=2).
+# sha256 and exit code of the stdout of every other report.  The `--json`
+# digests were taken while `--json` still went through json.dumps(obj,
+# sort_keys=True, indent=2), the text digests while each command printed its
+# own text.  Items past the digest name the fixtures a run needs; "replays" and
+# "out" are directories the run writes, relative to the test's directory.
 JSON_FILES = {
     "T5.tbl": taimanov_table(5),
     "skew3.tbl": CayleyTable([[0, 0, 1], [2, 1, 0], [0, 1, 2]]),
@@ -187,6 +190,34 @@ JSON_DIGESTS = {
     "suite 3": (
         ["suite", "--max-order", "3", "--json"], 0,
         "299fb2c951de80444189fc66f55c87b1606e8e7022c0129de81e1cd3fd3a13b7"),
+    "validate associative text": (
+        ["validate", "lz2_x_z3.tbl"], 0,
+        "5e3d434f44e4c0e7843a4f86316a6d08925cc002f6ac851c66e827a3618975e3"),
+    "validate non-associative text": (
+        ["validate", "skew3.tbl"], 1,
+        "43200f4f3a702b2b4c383fe5f9c3a2e5c4a0f47479d0550ff5fbe35b5eff0514"),
+    "quotient pairs text": (
+        ["quotient", "--pairs", "0=1", "lz2_x_z3.tbl"], 0,
+        "b0fb937be210b86f46a572e368a90c1d9769b7bf692b18bf3a7e702852e45283"),
+    "quotient ideal text": (
+        ["quotient", "--ideal", "0,1", "T5.tbl"], 0,
+        "c504c71ee9adb1d72604f5188238165b9a03c48ba58323d78f0fa4eecffee68d"),
+    "power text": (
+        ["power", "T5.tbl"], 0,
+        "06a54f6fc0c59fb460a8ca00ac4057c77c811e01ceac0b6667525e49144ca4f0"),
+    "enumerate 3 text": (
+        ["enumerate", "--order", "3"], 0,
+        "cd5a4507b04e6570795839a41d0b1102ca120414d2a9c7002d866cbf5aaa69f6"),
+    "enumerate 3 out text": (
+        ["enumerate", "--order", "3", "--out", "out"], 0,
+        "540bc1c0c6d707609820108b3ab6b5ca97fd9ec6b1c25b79a9a7f48e319448a3"),
+    "suite 3 text": (
+        ["suite", "--max-order", "3"], 0,
+        "902f2a3102584e55badbf412cd863a2debcda0a94290f35d64b38b64415109db"),
+    "suite 2 failing text": (
+        ["suite", "--max-order", "2", "--out", "replays"], 1,
+        "2931113c253a23b586f4cb43777c148aad25b1d995069e863f9b1046480e3a53",
+        "collapsed_projections"),
 }
 
 
@@ -235,11 +266,13 @@ def test_large_base_power_bytes(name, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(JSON_DIGESTS))
-def test_json_report_bytes(name, tmp_path, monkeypatch):
+def test_json_report_bytes(name, tmp_path, monkeypatch, request):
     monkeypatch.chdir(tmp_path)
     for file, table in JSON_FILES.items():
         (tmp_path / file).write_text(render_table(table))
-    argv, code, digest = JSON_DIGESTS[name]
+    argv, code, digest, *fixtures = JSON_DIGESTS[name]
+    for fixture in fixtures:
+        request.getfixturevalue(fixture)
     out = stdout_of(argv, code)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
