@@ -342,28 +342,31 @@ def _sorted(xs):
     return " ".join(str(x) for x in sorted(xs))
 
 
-def cmd_validate(args):
-    table = load_table_file(args.table, require_associative=False)
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def _holds(name, holds, witness):
+    return "%s: %s" % (name, "yes" if holds else "no (witness: %r)" % (witness,))
+
+
+# Each handler takes the parsed arguments and the loaded table file (None for
+# commands that read none), and returns its exit code and two functions: one
+# builds the object `--json` prints, the other the text.  `main` calls the one
+# it prints.
+
+def cmd_validate(args, table):
     report = validate(table)
-    if args.json:
-        _print_json({
-            "order": table.n,
-            "associative": report.associative,
-            "assoc_witness": report.assoc_witness,
-            "commutative": report.commutative,
-            "comm_witness": report.comm_witness,
-        })
-    else:
-        print("order: %d" % table.n)
-        if report.associative:
-            print("associative: yes")
-        else:
-            print("associative: no (witness: %r)" % (report.assoc_witness,))
-        if report.commutative:
-            print("commutative: yes")
-        else:
-            print("commutative: no (witness: %r)" % (report.comm_witness,))
-    return 0 if report.associative else 1
+    return (0 if report.associative else 1), lambda: {
+        "order": table.n,
+        "associative": report.associative,
+        "assoc_witness": report.assoc_witness,
+        "commutative": report.commutative,
+        "comm_witness": report.comm_witness,
+    }, lambda: _lines(
+        "order: %d" % table.n,
+        _holds("associative", report.associative, report.assoc_witness),
+        _holds("commutative", report.commutative, report.comm_witness))
 
 
 def _hasse_pairs(table):
@@ -375,9 +378,9 @@ def _hasse_pairs(table):
     return covers
 
 
-def cmd_analyze(args):
-    table = load_table_file(args.table)
+def cmd_analyze(args, table):
     z = center(table)
+    commutative = len(z) == table.n
     es = idempotents(table)
     covers = _hasse_pairs(table)
     classes = list(dict.fromkeys(h_classes(table)))
@@ -387,36 +390,31 @@ def cmd_analyze(args):
     except PreconditionError as exc:
         pi = None
         pi_note = str(exc)
+    clifford = clifford_part(table)
     length, chain = max_chain_length(table)
-    if args.json:
-        _print_json({
-            "order": table.n,
-            "commutative": len(z) == table.n,
-            "idempotents": sorted(es),
-            "natural_order_covers": covers,
-            "h_classes": [sorted(h) for h in classes],
-            "pi": pi,
-            "pi_note": pi_note,
-            "center": sorted(z),
-            "clifford_part": sorted(clifford_part(table)),
-            "max_chain": {"length": length, "witness": sorted(chain)},
-        })
-    else:
-        print("order: %d" % table.n)
-        print("commutative: %s" % ("yes" if len(z) == table.n else "no"))
-        print("idempotents: %s" % _sorted(es))
-        print("natural order covers: %s"
-              % (" ".join("%d<%d" % c for c in covers) or "(none)"))
-        print("h-classes: %s" % " ".join("{%s}" % _sorted(h) for h in classes))
-        if pi is not None:
-            print("pi: %s" % " ".join("%d->%d" % (x, pi[x])
-                                      for x in table.elements))
-        else:
-            print("pi: undefined (%s)" % pi_note)
-        print("center: %s" % _sorted(z))
-        print("clifford part: %s" % _sorted(clifford_part(table)))
-        print("max chain: %d (witness: %s)" % (length, _sorted(chain)))
-    return 0
+    return 0, lambda: {
+        "order": table.n,
+        "commutative": commutative,
+        "idempotents": sorted(es),
+        "natural_order_covers": covers,
+        "h_classes": [sorted(h) for h in classes],
+        "pi": pi,
+        "pi_note": pi_note,
+        "center": sorted(z),
+        "clifford_part": sorted(clifford),
+        "max_chain": {"length": length, "witness": sorted(chain)},
+    }, lambda: _lines(
+        "order: %d" % table.n,
+        "commutative: %s" % ("yes" if commutative else "no"),
+        "idempotents: %s" % _sorted(es),
+        "natural order covers: %s"
+        % (" ".join("%d<%d" % c for c in covers) or "(none)"),
+        "h-classes: %s" % " ".join("{%s}" % _sorted(h) for h in classes),
+        "pi: %s" % (" ".join("%d->%d" % (x, pi[x]) for x in table.elements)
+                    if pi is not None else "undefined (%s)" % pi_note),
+        "center: %s" % _sorted(z),
+        "clifford part: %s" % _sorted(clifford),
+        "max chain: %d (witness: %s)" % (length, _sorted(chain)))
 
 
 def _verdict_json(verdict):
@@ -443,7 +441,7 @@ def _verdict_json(verdict):
     }
 
 
-def cmd_classify(args):
+def cmd_classify(args, table):
     try:
         desc = parse_descriptor(args.expr)
     except DescriptorSyntaxError as exc:
@@ -452,15 +450,10 @@ def cmd_classify(args):
                 "classification covers commutative semigroups only; %s" % exc)
         raise
     verdict = classify(desc)
-    if args.json:
-        _print_json(_verdict_json(verdict))
-    else:
-        print(explain(verdict))
-    return 0
+    return 0, lambda: _verdict_json(verdict), lambda: _lines(explain(verdict))
 
 
-def cmd_quotient(args):
-    table = load_table_file(args.table)
+def cmd_quotient(args, table):
     if args.ideal is not None:
         elems = _parse_elems(args.ideal)
         quotient, proj = rees_quotient(table, elems)
@@ -474,106 +467,91 @@ def cmd_quotient(args):
         detail = {"classes": [sorted(c) for c in cong.classes]}
         comment = "quotient of %s by the congruence closing %s" % (
             args.table, " ".join("%d=%d" % p for p in pairs))
-    if args.json:
-        out = {"order": quotient.n,
-               "table": quotient.op,
-               "projection": proj}
-        out.update(detail)
-        _print_json(out)
-    else:
-        sys.stdout.write(render_table(quotient, comment=comment))
-        print("projection: %s" % " ".join("%d->%d" % (x, proj[x])
-                                          for x in range(table.n)))
-    return 0
+    return 0, lambda: {
+        "order": quotient.n,
+        "table": quotient.op,
+        "projection": proj,
+        **detail,
+    }, lambda: render_table(quotient, comment=comment) + _lines(
+        "projection: %s" % " ".join("%d->%d" % (x, proj[x])
+                                    for x in range(table.n)))
 
 
-def cmd_power(args):
-    table = load_table_file(args.table)
+def cmd_power(args, table):
     ps = power_semigroup(table)
-    if args.json:
-        _print_json({
-            "base_order": table.n,
-            "order": ps.table.n,
-            "elements": [sorted(s) for s in ps.elements],
-            "table": ps.table.op,
-        })
-    else:
-        print("base order: %d" % table.n)
-        print("subsets: %d" % ps.table.n)
-        for i, s in enumerate(ps.elements):
-            print("%d: {%s}" % (i, _sorted(s)))
-        sys.stdout.write(render_table(ps.table, comment="power semigroup"))
-    return 0
+    return 0, lambda: {
+        "base_order": table.n,
+        "order": ps.table.n,
+        "elements": [sorted(s) for s in ps.elements],
+        "table": ps.table.op,
+    }, lambda: _lines(
+        "base order: %d" % table.n,
+        "subsets: %d" % ps.table.n,
+        *("%d: {%s}" % (i, _sorted(s)) for i, s in enumerate(ps.elements))
+    ) + render_table(ps.table, comment="power semigroup")
 
 
-def cmd_enumerate(args):
+def cmd_enumerate(args, table):
     tables = list(enumerate_commutative(args.order, up_to_iso=args.up_to_iso))
-    if args.json:
-        _print_json({
-            "order": args.order,
-            "up_to_iso": args.up_to_iso,
-            "count": len(tables),
-            "tables": [t.op for t in tables],
-        })
-        return 0
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for i, t in enumerate(tables):
             name = os.path.join(args.out, "order%d_%04d.tbl" % (args.order, i))
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write(render_table(t))
-        print("wrote %d tables to %s" % (len(tables), args.out))
-        return 0
-    for i, t in enumerate(tables):
-        sys.stdout.write(render_table(t, comment="%d of %d" % (i + 1, len(tables))))
-        print()
-    print("count: %d" % len(tables))
-    return 0
+
+    def as_text():
+        if args.out:
+            return _lines("wrote %d tables to %s" % (len(tables), args.out))
+        return "".join(
+            render_table(t, comment="%d of %d" % (i + 1, len(tables))) + "\n"
+            for i, t in enumerate(tables)) + _lines("count: %d" % len(tables))
+
+    return 0, lambda: {
+        "order": args.order,
+        "up_to_iso": args.up_to_iso,
+        "count": len(tables),
+        "tables": [t.op for t in tables],
+    }, as_text
 
 
-def cmd_suite(args):
+def cmd_suite(args, table):
     if not 1 <= args.max_order <= MAX_ENUM_ORDER:
         raise ValueError("--max-order must be in 1..%d" % MAX_ENUM_ORDER)
     failures = []
     total = 0
+    out = args.out or "."
     for n in range(1, args.max_order + 1):
-        for idx, table in enumerate(enumerate_commutative(n, up_to_iso=True)):
+        for idx, t in enumerate(enumerate_commutative(n, up_to_iso=True)):
             total += 1
-            report = lemma_suite(table)
-            if not report.ok:
-                failures.append((n, idx, table, report))
-    replays = []
-    if failures:
-        out = args.out or "."
-        os.makedirs(out, exist_ok=True)
-        for n, idx, table, report in failures:
-            names = ", ".join(r.name for r in report.failures)
+            report = lemma_suite(t)
+            if report.ok:
+                continue
+            failed = [r.name for r in report.failures]
             path = os.path.join(out, "suite_fail_order%d_%04d.tbl" % (n, idx))
+            os.makedirs(out, exist_ok=True)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(render_table(table, comment="failed checks: %s" % names))
-            replays.append((names, path))
-    if args.json:
-        _print_json({
-            "max_order": args.max_order,
-            "tables": total,
-            "checks": len(SUITE_CHECK_NAMES),
-            "ok": not failures,
-            "failures": [
-                {"order": n, "index": idx,
-                 "table": t.op,
-                 "failed": [r.name for r in rep.failures],
-                 "replay": path}
-                for (n, idx, t, rep), (_, path) in zip(failures, replays)
-            ],
-        })
-    elif failures:
-        for (n, idx, _, _), (names, path) in zip(failures, replays):
-            print("FAIL order %d table %d: %s (replay: %s)"
-                  % (n, idx, names, path))
-    else:
-        print("all properties hold (orders 1..%d, %d tables, backend %s)"
-              % (args.max_order, total, kernel_backend()))
-    return 1 if failures else 0
+                fh.write(render_table(
+                    t, comment="failed checks: %s" % ", ".join(failed)))
+            failures.append({"order": n, "index": idx, "table": t.op,
+                             "failed": failed, "replay": path})
+
+    def as_text():
+        if not failures:
+            return _lines("all properties hold (orders 1..%d, %d tables, "
+                          "backend %s)" % (args.max_order, total,
+                                           kernel_backend()))
+        return _lines(*("FAIL order %d table %d: %s (replay: %s)"
+                        % (f["order"], f["index"], ", ".join(f["failed"]),
+                           f["replay"]) for f in failures))
+
+    return (1 if failures else 0), lambda: {
+        "max_order": args.max_order,
+        "tables": total,
+        "checks": len(SUITE_CHECK_NAMES),
+        "ok": not failures,
+        "failures": failures,
+    }, as_text
 
 
 def _parse_elems(text):
@@ -600,6 +578,17 @@ def _parse_pairs(text):
     return pairs
 
 
+def _register(p, func, table=True, require_associative=True):
+    """Finish a command's parser with what every command has: its table
+    file argument (when `table`), `--json` and the handler `main` calls.
+    `require_associative=False` lets the table file be non-associative."""
+    if table:
+        p.add_argument("table")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=func, takes_table=table,
+                   require_associative=require_associative)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sgclass",
@@ -609,48 +598,37 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check a table file for "
                                         "associativity and commutativity")
-    p.add_argument("table")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
+    _register(p, cmd_validate, require_associative=False)
 
     p = sub.add_parser("analyze", help="idempotents, natural order, "
                                        "h-classes, pi, center, chains")
-    p.add_argument("table")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    _register(p, cmd_analyze)
 
     p = sub.add_parser("classify", help="closedness verdicts for a "
                                         "descriptor expression")
     p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
+    _register(p, cmd_classify, table=False)
 
     p = sub.add_parser("quotient", help="Rees or congruence quotient of a table")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ideal", help="comma-separated element indices")
     group.add_argument("--pairs", help="comma-separated a=b pairs to identify")
-    p.add_argument("table")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_quotient)
+    _register(p, cmd_quotient)
 
     p = sub.add_parser("power", help="power semigroup of nonempty subsets")
-    p.add_argument("table")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_power)
+    _register(p, cmd_power)
 
     p = sub.add_parser("enumerate", help="all commutative semigroups of one order")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--out", help="write tables into this directory")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
+    _register(p, cmd_enumerate, table=False)
 
     p = sub.add_parser("suite", help="run every structural check on every "
                                      "table up to an order")
     p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--out", help="directory for failure replay files")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_suite)
+    _register(p, cmd_suite, table=False)
 
     return parser
 
@@ -658,7 +636,16 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        table = None
+        if args.takes_table:
+            table = load_table_file(
+                args.table, require_associative=args.require_associative)
+        code, as_json, as_text = args.func(args, table)
+        if args.json:
+            _print_json(as_json())
+        else:
+            sys.stdout.write(as_text())
+        return code
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

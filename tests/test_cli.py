@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 
@@ -397,6 +398,23 @@ class TestCommands:
         # emitted files are replayable
         assert main(["validate", str(files[0])]) == 0
 
+    def test_enumerate_out_writes_the_same_files_with_json(self, tmp_path,
+                                                           capsys):
+        assert main(["enumerate", "--order", "3", "--json"]) == 0
+        report = capsys.readouterr().out
+        text_dir, json_dir = tmp_path / "text", tmp_path / "json"
+        assert main(["enumerate", "--order", "3", "--out", str(text_dir)]) == 0
+        assert main(["enumerate", "--order", "3", "--out", str(json_dir),
+                     "--json"]) == 0
+        assert capsys.readouterr().out == (
+            "wrote 63 tables to %s\n" % text_dir + report)
+        names = sorted(os.listdir(text_dir))
+        assert len(names) == 63
+        assert sorted(os.listdir(json_dir)) == names
+        for name in names:
+            assert ((json_dir / name).read_bytes()
+                    == (text_dir / name).read_bytes()), name
+
     def test_suite_passes(self, capsys):
         assert main(["suite", "--max-order", "3"]) == 0
         assert "all properties hold" in capsys.readouterr().out
@@ -510,11 +528,16 @@ class TestDepthGuard:
             assert run.stdout == ""
 
 
-def run_sgclass(*argv):
+def run_sgclass(*argv, **kwargs):
     src = os.path.dirname(os.path.dirname(sgclass.__file__))
     return subprocess.run([sys.executable, "-m", "sgclass"] + list(argv),
                           capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=src), **kwargs)
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestHugeNumbers:
@@ -542,6 +565,19 @@ class TestHugeNumbers:
         assert main(["classify", "(group (cyclic 2 x 13000))", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["profile"]["cardinality"] \
             == 2 ** 13000
+
+    def test_power_past_the_base_order_bound_exits_two_at_once(self,
+                                                               tmp_path):
+        # an order-13 base has 8191^2 subset products, several GB; the 1 GiB
+        # address-space cap makes a missing guard fail fast instead
+        path = tmp_path / "L13.tbl"
+        path.write_text(render_table(chain_table(13)))
+        run = run_sgclass("power", str(path), "--json",
+                          preexec_fn=_cap_address_space)
+        assert run.returncode == 2
+        assert run.stderr == ("error: power semigroup is limited to base "
+                              "order <= 12 (got 13)\n")
+        assert run.stdout == ""
 
     def test_huge_prime_parameter_is_refused_at_once(self):
         run = run_sgclass("classify", "(group (prufer 1000000000000000003))")
@@ -650,8 +686,8 @@ class TestInputFuzz:
 
         check()
 
-    # `power` is kept to base order <= 6: order 16 is accepted by design and
-    # builds about 4e9 cells
+    # `power` is kept to base order <= 6: order 12 is accepted by design and
+    # builds about 1.7e7 cells
     COMMANDS = [
         (["validate"], (0, 1, 2)),
         (["analyze"], (0, 2)),

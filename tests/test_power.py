@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from sgclass import (CayleyTable, PreconditionError, chain_table,
                      cyclic_table, null_table, product_table, validate)
-from sgclass.power import basic_open, power_semigroup, subset_product
+from sgclass.power import (MAX_BASE_ORDER, basic_open, power_semigroup,
+                           subset_product)
 
 
 def subsets_of(n):
@@ -45,8 +46,10 @@ class TestPowerSemigroup:
                    for i in range(7) for j in range(7))
 
     def test_size_guard(self):
-        with pytest.raises(PreconditionError, match="order <= 16"):
-            power_semigroup(null_table(17))
+        for n in (MAX_BASE_ORDER + 1, 17):
+            with pytest.raises(PreconditionError,
+                               match=r"order <= 12 \(got %d\)" % n):
+                power_semigroup(null_table(n))
 
     def test_table_matches_subset_product(self, corpus4, associative3, lz2):
         # associative3 and the two products hold non-commutative bases, so a
