@@ -54,6 +54,9 @@ def commutative_tables(n, lex_least=False):
     Backtracking over the upper-triangle cells in row-major order with
     value order 0..n-1, so the output order is deterministic.  After each
     assignment only the triples that read the new cell are checked.
+    `pre[p]` lists the set cells (x, y) with xy = p, in both orientations,
+    so the triples that read the new cell as (xy)z are found without a scan
+    of the whole table.
 
     With lex_least, each completed row is tested by `is_canonical`, and a
     table some relabeling already beats is cut with its whole subtree.  The
@@ -63,6 +66,7 @@ def commutative_tables(n, lex_least=False):
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     ncells = len(cells)
     op = [[-1] * n for _ in range(n)]
+    pre = [[] for _ in range(n)]
     rng = range(n)
     out = []
 
@@ -86,15 +90,12 @@ def commutative_tables(n, lex_least=False):
                         if b >= 0 and b != a:
                             return False
             # the cell as (xy)z with xy = p: (xy)q = v against x(yq)
-            for x in rng:
-                rx = op[x]
-                for y in rng:
-                    if rx[y] == p:
-                        yq = op[y][q]
-                        if yq >= 0:
-                            b = rx[yq]
-                            if b >= 0 and b != v:
-                                return False
+            for x, y in pre[p]:
+                yq = op[y][q]
+                if yq >= 0:
+                    b = op[x][yq]
+                    if b >= 0 and b != v:
+                        return False
         return True
 
     def fill(k):
@@ -103,15 +104,17 @@ def commutative_tables(n, lex_least=False):
             return
         i, j = cells[k]
         row_done = lex_least and j == n - 1
+        own = ((i, j),) if i == j else ((i, j), (j, i))
         for v in rng:
             op[i][j] = v
             op[j][i] = v
-            if not consistent(i, j, v):
-                continue
-            if row_done and not is_canonical(list(chain.from_iterable(op)),
-                                             n, i + 1):
-                continue
-            fill(k + 1)
+            pv = pre[v]
+            mark = len(pv)
+            pv.extend(own)
+            if consistent(i, j, v) and (not row_done or is_canonical(
+                    list(chain.from_iterable(op)), n, i + 1)):
+                fill(k + 1)
+            del pv[mark:]
         op[i][j] = -1
         op[j][i] = -1
 

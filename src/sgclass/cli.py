@@ -300,14 +300,19 @@ def render_descriptor(d) -> str:
 
 # -- commands ----------------------------------------------------------------
 
-def _json_text(obj):
-    """The text of json.dumps(obj, sort_keys=True, indent=2), written faster.
+def _json_chunks(obj):
+    """The text of json.dumps(obj, sort_keys=True, indent=2), written faster
+    and in pieces.
 
     With an indent, `json` falls back to its pure-Python encoder, which
     visits every table cell in Python.  Here a list whose items are all of
     type exactly int (never bool) is written with one join over memoised
     digit strings; every other scalar goes to the C encoder, which keeps
     ensure_ascii, NaN and the float repr.  Dict keys must be str.
+
+    A top-level dict comes out key by key, and each item of a list value
+    that is not all ints as a piece of its own, so the whole document is
+    never held at once; deeper levels are written whole, which is faster.
     """
     scalar = json.JSONEncoder().encode
     digits = _Digits()
@@ -331,11 +336,27 @@ def _json_text(obj):
             return "[\n" + inner + body + "\n" + pad + "]"
         return scalar(x)
 
-    return write(obj, "")
+    if not isinstance(obj, dict) or not obj:
+        yield write(obj, "")
+        return
+    for i, k in enumerate(sorted(obj)):
+        yield ("{\n  " if i == 0 else ",\n  ") + scalar(k) + ": "
+        v = obj[k]
+        if isinstance(v, (list, tuple)) and v and set(map(type, v)) != {int}:
+            for j, item in enumerate(v):
+                yield "[\n    " if j == 0 else ",\n    "
+                yield write(item, "    ")
+            yield "\n  ]"
+        else:
+            yield write(v, "  ")
+    yield "\n}"
 
 
 def _print_json(obj):
-    print(_json_text(obj))
+    write = sys.stdout.write
+    for chunk in _json_chunks(obj):
+        write(chunk)
+    write("\n")
 
 
 def _sorted(xs):

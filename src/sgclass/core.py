@@ -220,12 +220,15 @@ def h_classes(table) -> tuple:
     The one routine that builds principal ideals.  Each element is keyed by
     its pair of principal ideals (xS^1, S^1x), with the identity adjoined
     virtually, so the table's 2n ideals are built once rather than once per
-    class.
+    class.  When the table equals its transpose, each left ideal equals the
+    right one, so only the right ideal is built and it alone is the key.
     """
     op = table.op
     cols = tuple(zip(*op))
-    keys = [(frozenset(op[x]) | {x}, frozenset(cols[x]) | {x})
-            for x in table.elements]
+    keys = [frozenset(row + (x,)) for x, row in enumerate(op)]
+    if cols != op:
+        keys = [(key, frozenset(col + (x,)))
+                for x, (key, col) in enumerate(zip(keys, cols))]
     members = {}
     for x, key in enumerate(keys):
         members.setdefault(key, []).append(x)
@@ -287,8 +290,12 @@ def z_sets(table, e, n_max) -> list:
     _check_idempotent(table, e)
     if not isinstance(n_max, int) or n_max < 1:
         raise PreconditionError("n_max must be a positive integer")
-    he = h_class(table, e)
-    zc = sorted(center(table))
+    return _z_sets(table, h_classes(table)[e], sorted(center(table)), n_max)
+
+
+def _z_sets(table, he, zc, n_max) -> list:
+    # z_sets past its checks, handed the maximal subgroup he at e and the
+    # sorted center zc
     op = table.op
     out = []
     power = {z: z for z in zc}

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernel
-from .core import (CayleyTable, _max_clique, h_classes, idempotents,
-                   natural_le, pi_map, relabel, root_inf, validate, z_sets)
+from .core import (CayleyTable, _max_clique, _z_sets, center, h_classes,
+                   idempotents, natural_le, pi_map, relabel, root_inf,
+                   validate)
 from .quotients import _lift_idempotent, _quotient, congruences
 
 MAX_ENUM_ORDER = 5
@@ -89,12 +90,25 @@ class SuiteReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _check_root_absorption(table, quotients):
+class _Facts(NamedTuple):
+    """What the checks of one `lemma_suite` call share, each computed once.
+
+    quotients holds (congruence, projection, quotient idempotents, quotient
+    H-classes) for every congruence of the table, in search order.
+    """
+    idempotents: frozenset
+    h_classes: tuple
+    pi: tuple
+    center: list  # sorted
+    quotients: list
+
+
+def _check_root_absorption(table, facts):
     # products of the root set of a maximal subgroup with the subgroup
     # itself must stay inside the subgroup
     op = table.op
-    hs = h_classes(table)
-    for e in sorted(idempotents(table)):
+    hs = facts.h_classes
+    for e in sorted(facts.idempotents):
         he = hs[e]
         roots = root_inf(table, he)
         for x in sorted(roots):
@@ -104,8 +118,8 @@ def _check_root_absorption(table, quotients):
     return None
 
 
-def _check_pi_homomorphism(table, quotients):
-    pi = pi_map(table)
+def _check_pi_homomorphism(table, facts):
+    pi = facts.pi
     op = table.op
     for x in table.elements:
         for y in table.elements:
@@ -114,10 +128,10 @@ def _check_pi_homomorphism(table, quotients):
     return None
 
 
-def _check_h_class_products(table, quotients):
+def _check_h_class_products(table, facts):
     op = table.op
-    es = sorted(idempotents(table))
-    hs = h_classes(table)
+    es = sorted(facts.idempotents)
+    hs = facts.h_classes
     for e in es:
         for f in es:
             target = hs[op[e][f]]
@@ -128,8 +142,8 @@ def _check_h_class_products(table, quotients):
     return None
 
 
-def _check_pi_product_lower_bound(table, quotients):
-    pi = pi_map(table)
+def _check_pi_product_lower_bound(table, facts):
+    pi = facts.pi
     op = table.op
     for x in table.elements:
         for y in table.elements:
@@ -138,31 +152,31 @@ def _check_pi_product_lower_bound(table, quotients):
     return None
 
 
-def _check_z_sets_ascending(table, quotients):
-    for e in sorted(idempotents(table)):
-        layers = z_sets(table, e, table.n + 2)
+def _check_z_sets_ascending(table, facts):
+    hs = facts.h_classes
+    for e in sorted(facts.idempotents):
+        layers = _z_sets(table, hs[e], facts.center, table.n + 2)
         for k in range(len(layers) - 1):
             if not layers[k] <= layers[k + 1]:
                 return "e=%d k=%d" % (e, k + 1)
     return None
 
 
-def _check_quotient_idempotent_image(table, quotients):
-    source_e = idempotents(table)
-    for cong, quotient, proj in quotients:
-        if idempotents(quotient) != frozenset(proj[e] for e in source_e):
+def _check_quotient_idempotent_image(table, facts):
+    source_e = facts.idempotents
+    for cong, proj, quotient_e, _ in facts.quotients:
+        if quotient_e != frozenset(proj[e] for e in source_e):
             return "congruence %r" % (sorted(sorted(c) for c in cong.classes),)
     return None
 
 
-def _check_quotient_h_class_lift(table, quotients):
+def _check_quotient_h_class_lift(table, facts):
     # every congruence here comes from congruences(table), so the lift
     # skips lift_idempotent's checks; a finite quotient has an idempotent
-    source_e = idempotents(table)
-    hs = h_classes(table)
-    for cong, quotient, proj in quotients:
-        quotient_hs = h_classes(quotient)
-        for e_class in sorted(idempotents(quotient)):
+    source_e = facts.idempotents
+    hs = facts.h_classes
+    for cong, proj, quotient_e, quotient_hs in facts.quotients:
+        for e_class in sorted(quotient_e):
             s = _lift_idempotent(table, cong, e_class, source_e)
             image = frozenset(proj[x] for x in hs[s])
             if image != quotient_hs[e_class]:
@@ -190,14 +204,28 @@ def lemma_suite(table) -> SuiteReport:
     Failures come back as data (name plus minimal counterexample), never
     as exceptions, for tables of order up to quotients.MAX_CONGRUENCE_ORDER;
     a larger table is refused with PreconditionError before any check runs.
+
+    The seven checks share one `_Facts`: the table's idempotents, H-classes,
+    pi map and center are computed once, and so are the idempotents and
+    H-classes of each distinct quotient table, however many congruences
+    give it.  Nothing is kept from one call to the next.
     """
     # every congruence comes from congruences(table), so each quotient skips
     # quotient_by_congruence's compatibility check
-    quotients = [(cong,) + _quotient(table, cong)
-                 for cong in congruences(table)]
+    quotients = []
+    known = {}  # quotient cells -> (idempotents, h_classes)
+    for cong in congruences(table):
+        quotient, proj = _quotient(table, cong)
+        shared = known.get(quotient.op)
+        if shared is None:
+            shared = known[quotient.op] = (idempotents(quotient),
+                                           h_classes(quotient))
+        quotients.append((cong, proj) + shared)
+    facts = _Facts(idempotents(table), h_classes(table), pi_map(table),
+                   sorted(center(table)), quotients)
     results = []
     for name, check in _SUITE:
-        ce = check(table, quotients)
+        ce = check(table, facts)
         results.append(CheckResult(name, ce is None, ce))
     return SuiteReport(table, tuple(results))
 

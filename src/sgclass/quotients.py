@@ -269,6 +269,10 @@ def congruences(table):
     with `Congruence._trusted`: its classes, in label order, are already
     ordered by least member, and the labels are its `class_of`.  Guarded to
     order <= MAX_CONGRUENCE_ORDER.
+
+    The search runs to the end before this returns: the result is an
+    iterator over the list of every leaf, built eagerly by a plain
+    recursion rather than through a chain of nested generators.
     """
     n = table.n
     if n > MAX_CONGRUENCE_ORDER:
@@ -284,14 +288,15 @@ def congruences(table):
                         u, v = min(u, v), max(u, v)
                         due[max(y, v)].add((x, y, u, v))
     label = [0] * n
+    leaves = []
 
     def extend(i, top):
         if i == n:
             classes = [[] for _ in range(top + 1)]
             for x, c in enumerate(label):
                 classes[c].append(x)
-            yield Congruence._trusted(tuple(map(frozenset, classes)),
-                                      tuple(label))
+            leaves.append(Congruence._trusted(tuple(map(frozenset, classes)),
+                                              tuple(label)))
             return
         checks = due[i]
         for c in range(top + 2):
@@ -300,9 +305,10 @@ def congruences(table):
                 if label[x] == label[y] and label[u] != label[v]:
                     break
             else:
-                yield from extend(i + 1, max(top, c))
+                extend(i + 1, max(top, c))
 
-    yield from extend(0, -1)
+    extend(0, -1)
+    return iter(leaves)
 
 
 __all__ = [

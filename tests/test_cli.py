@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -246,15 +247,39 @@ class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(_json_st)
     def test_matches_json_dumps(self, obj):
-        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert "".join(cli._json_chunks(obj)) == json.dumps(
+            obj, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("obj", [
         [], {}, (), [[]], {"": {}}, [True, 1, False, 0], [1, 2.0],
         [float("nan"), float("inf"), -float("inf")], [2 ** 70, -2 ** 70],
         {"\u00e9\n\x00": ["\ud800", "\U0001f600"]}, ((0, 1), (1, 0)),
+        {"a": [], "b": [[]], "c": ((0, 1), {}), "d": [1, [2]], "e": {"f": 1}},
     ])
     def test_edge_cases(self, obj):
-        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert "".join(cli._json_chunks(obj)) == json.dumps(
+            obj, sort_keys=True, indent=2)
+
+    def test_prints_without_holding_the_document(self, monkeypatch):
+        class CountingSink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+                return len(text)
+
+        _, as_json, _ = cli.cmd_power(None, cyclic_table(8))
+        obj = as_json()
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._print_json(obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len(json.dumps(obj, sort_keys=True, indent=2)) + 1
+        assert peak < sink.size / 4, (peak, sink.size)
 
 
 def grammar_of(text):

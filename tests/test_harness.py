@@ -150,11 +150,33 @@ class TestLemmaSuite:
                              "quotients": len(list(real_congruences(table)))}
 
 
+    def test_each_fact_once_per_table_and_per_distinct_quotient(
+            self, corpus5, monkeypatch):
+        calls = {"h_classes": 0, "idempotents": 0, "pi_map": 0}
+        for name in calls:
+            def counted(table, real=getattr(harness, name), name=name):
+                calls[name] += 1
+                return real(table)
+            monkeypatch.setattr(harness, name, counted)
+        distinct = {n: 0 for n in range(1, 6)}
+        congruence_count = 0
+        for table in corpus5:
+            congs = list(harness.congruences(table))
+            quotients = {harness._quotient(table, c)[0].op for c in congs}
+            distinct[table.n] += len(quotients)
+            congruence_count += len(congs)
+            calls.update(h_classes=0, idempotents=0, pi_map=0)
+            assert lemma_suite(table).ok
+            assert calls == {"h_classes": 1 + len(quotients),
+                             "idempotents": 1 + len(quotients), "pi_map": 1}
+        assert distinct == {1: 1, 2: 6, 3: 40, 4: 310, 5: 2805}
+        assert congruence_count == 4549
+
     def test_refuses_tables_past_the_congruence_order_before_any_check(
             self, monkeypatch):
         ran = []
         monkeypatch.setattr(harness, "_SUITE", tuple(
-            (name, lambda table, quotients, name=name: ran.append(name))
+            (name, lambda table, facts, name=name: ran.append(name))
             for name, _ in harness._SUITE))
         with pytest.raises(PreconditionError,
                            match=r"limited to order <= 6"):

@@ -7,7 +7,9 @@ replaced.  The orbit sum checks the generator at orders where the labeled
 filter is too slow to run.
 """
 
+import hashlib
 import random
+from functools import lru_cache
 from itertools import product
 from math import factorial
 
@@ -119,6 +121,12 @@ def automorphism_count(flat, n):
     return count
 
 
+@lru_cache(maxsize=None)
+def classes(n):
+    # one enumeration per order, shared by the orbit sum and the digest pin
+    return commutative_tables(n, lex_least=True)
+
+
 # Commutative semigroups on n labeled elements (the labeled enumeration's
 # counts at orders 1..5; a counting copy of the labeled walk at order 6).
 LABELED = {1: 1, 2: 6, 3: 63, 4: 1140, 5: 30730, 6: 1185072}
@@ -129,8 +137,29 @@ def test_orbit_sum_over_classes_is_the_labeled_count(n):
     # orbit-stabilizer: the class of T holds n!/|Aut T| labeled tables, so
     # one table per class, and no class missed, sums to the labeled count
     total = 0
-    for flat in commutative_tables(n, lex_least=True):
+    for flat in classes(n):
         size, rest = divmod(factorial(n), automorphism_count(flat, n))
         assert rest == 0
         total += size
     assert total == LABELED[n]
+
+
+def emission_digest(tables):
+    h = hashlib.sha256()
+    for flat in tables:
+        h.update(bytes(flat))
+    return h.hexdigest()
+
+
+def test_labeled_emission_order_is_pinned():
+    tables = commutative_tables(5)
+    assert len(tables) == 30730
+    assert emission_digest(tables) == (
+        "dec1909f22b595c4d77b3665f95cb205f8d9fe0ed8038b9cd05c07f937fd038c")
+
+
+def test_orderly_emission_order_is_pinned():
+    tables = classes(6)
+    assert len(tables) == 2143
+    assert emission_digest(tables) == (
+        "cdf67f50e0a0a47a45d0fd0b19bd30defd763201487398a6c5d1d62f4f239b51")
