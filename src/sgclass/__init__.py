@@ -6,8 +6,7 @@ commutative semigroups, closedness verdicts, and an exhaustive small-order
 enumeration harness.
 """
 
-from .classify import (ClosednessVerdict, classify, classify_group,
-                       classify_semilattice, explain)
+from .classify import ClosednessVerdict, classify, explain
 from .core import (CayleyTable, MalformedTableError, MonogenicData,
                    PreconditionError, ValidationReport, adjoin_identity,
                    adjoin_zero, antichain_zero_table, center, chain_table,
@@ -20,9 +19,8 @@ from .descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Descriptor,
                           Null, OmegaAntichainZero, OmegaChain,
                           PredicateProfile, Product, Semilattice, Taimanov,
                           cardinality, describe, evaluate, truncate)
-from .harness import (SuiteReport, enumerate_commutative,
-                      enumerate_commutative_naive, iso_class_count,
-                      kernel_backend, lemma_suite, singleton_square_scan)
+from .harness import (SuiteReport, enumerate_commutative, kernel_backend,
+                      lemma_suite, singleton_square_scan)
 from .power import PowerSemigroup, basic_open, power_semigroup, subset_product
 from .quotients import (Congruence, congruence_closure, congruences,
                         generated_ideal, is_congruence, is_ideal,

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .descriptors import (Descriptor, Group, GroupSpec, OmegaChain,
-                          PredicateProfile, Semilattice, SemilatticeSpec,
+from .descriptors import (Descriptor, Group, PredicateProfile, Semilattice,
                           describe, evaluate)
 
 CITE_MAIN = "Thm1.4"
@@ -55,32 +54,13 @@ class ClosednessVerdict:
     citation: str
 
 
-def _condition_holds(profile, name):
-    attr, good = _CONDITIONS[name]
-    return getattr(profile, attr) is good
-
-
 def _first_failing(profile, order):
+    """The first condition of `order` the profile breaks, with its witness."""
     for name in order:
-        if not _condition_holds(profile, name):
-            attr, _ = _CONDITIONS[name]
+        attr, good = _CONDITIONS[name]
+        if getattr(profile, attr) is not good:
             return (name, profile.witness[attr])
     return None
-
-
-def _report_shape(d, profile, c_closed, ideally):
-    if isinstance(d, Group):
-        failing = None if c_closed else _first_failing(
-            profile, ("subgroups-bounded",))
-        return failing, CITE_GROUP
-    if isinstance(d, Semilattice):
-        failing = None if c_closed else _first_failing(profile, ("chain-finite",))
-        return failing, CITE_SEMILATTICE
-    if not c_closed:
-        return _first_failing(profile, _C_ORDER), CITE_MAIN
-    if not ideally:
-        return _first_failing(profile, _PROJECTIVE_ORDER), CITE_PROJECTIVE
-    return None, CITE_MAIN
 
 
 def classify(d) -> ClosednessVerdict:
@@ -88,43 +68,31 @@ def classify(d) -> ClosednessVerdict:
 
     C-closed iff periodic, chain-finite, subgroups bounded and no infinite
     subset with a singleton square; ideally = projectively closed iff
-    chain-finite, almost Clifford and subgroups bounded.
+    chain-finite, almost Clifford and subgroups bounded.  A group or a
+    semilattice cites its specialization, whose one condition decides all
+    three verdicts.
     """
     if not isinstance(d, Descriptor):
         raise TypeError("classify expects a Descriptor")
     profile = evaluate(d)
-    c_closed = (profile.periodic and profile.chain_finite
-                and profile.subgroups_bounded
-                and not profile.has_singleton_square)
-    ideally = (profile.chain_finite and profile.almost_clifford
-               and profile.subgroups_bounded)
-    failing, citation = _report_shape(d, profile, c_closed, ideally)
+    c_failing = _first_failing(profile, _C_ORDER)
+    q_failing = _first_failing(profile, _PROJECTIVE_ORDER)
+    c_closed = c_failing is None
+    ideally = q_failing is None
+    if isinstance(d, Group):
+        failing = _first_failing(profile, ("subgroups-bounded",))
+        citation = CITE_GROUP
+    elif isinstance(d, Semilattice):
+        failing = _first_failing(profile, ("chain-finite",))
+        citation = CITE_SEMILATTICE
+    elif not c_closed:
+        failing, citation = c_failing, CITE_MAIN
+    elif not ideally:
+        failing, citation = q_failing, CITE_PROJECTIVE
+    else:
+        failing, citation = None, CITE_MAIN
     return ClosednessVerdict(d, profile, c_closed, ideally, ideally,
                              failing, citation)
-
-
-def classify_group(spec: GroupSpec) -> ClosednessVerdict:
-    """Group specialization: closed (in every sense) iff bounded.
-
-    The boundedness test here reads the factors directly, independently of
-    the profile formulas, so agreement with `classify` is a real check.
-    """
-    bounded = all(f.kind == "cyclic" for f in spec.factors)
-    d = Group(spec)
-    profile = evaluate(d)
-    failing, citation = _report_shape(d, profile, bounded, bounded)
-    return ClosednessVerdict(d, profile, bounded, bounded, bounded,
-                             failing, citation)
-
-
-def classify_semilattice(spec: SemilatticeSpec) -> ClosednessVerdict:
-    """Semilattice specialization: all three verdicts equal chain-finiteness."""
-    chain_finite = not isinstance(spec, OmegaChain)
-    d = Semilattice(spec)
-    profile = evaluate(d)
-    failing, citation = _report_shape(d, profile, chain_finite, chain_finite)
-    return ClosednessVerdict(d, profile, chain_finite, chain_finite,
-                             chain_finite, failing, citation)
 
 
 def _yesno(b):
@@ -177,6 +145,5 @@ def explain(verdict: ClosednessVerdict) -> str:
 
 __all__ = [
     "CITE_GROUP", "CITE_MAIN", "CITE_PRECEDENT", "CITE_PROJECTIVE",
-    "CITE_SEMILATTICE", "ClosednessVerdict", "classify", "classify_group",
-    "classify_semilattice", "explain",
+    "CITE_SEMILATTICE", "ClosednessVerdict", "classify", "explain",
 ]

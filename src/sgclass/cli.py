@@ -219,26 +219,32 @@ def _parse_factor(tk):
         raise DescriptorSyntaxError(str(exc), pline, pcol)
 
 
-def _parse_slspec(tk, loader):
+def _parse_leaf(tk, cls, what):
+    """The rest of `(table PATH)` or `(poset PATH)`: the loaded file as a
+    `cls` leaf; a file that fails to load is reported at its path."""
+    path, line, col = tk.atom(what)
+    tk.expect(")")
+    try:
+        return cls(load_table_file(path), path=path)
+    except (OSError, ValueError) as exc:
+        raise DescriptorSyntaxError(str(exc), line, col) from exc
+
+
+def _parse_slspec(tk):
     if tk.peek() == "(":
-        _, line, col = tk.take()
+        tk.take()
         head, hline, hcol = tk.atom("semilattice spec")
         if head != "poset":
             raise DescriptorSyntaxError("unknown semilattice spec %r" % head,
                                         hline, hcol)
-        path, pline, pcol = tk.atom("poset path")
-        tk.expect(")")
-        try:
-            return FinitePoset(loader(path), path=path)
-        except (OSError, ValueError) as exc:
-            raise DescriptorSyntaxError(str(exc), pline, pcol) from exc
+        return _parse_leaf(tk, FinitePoset, "poset path")
     tok, line, col = tk.atom("semilattice spec")
     if tok in SEMILATTICE_WORDS:
         return SEMILATTICE_WORDS[tok]()
     raise DescriptorSyntaxError("unknown semilattice spec %r" % tok, line, col)
 
 
-def _parse_desc(tk, loader, depth=1):
+def _parse_desc(tk, depth=1):
     _, line, col = tk.expect("(")
     if depth > MAX_DEPTH:
         raise DescriptorSyntaxError("descriptor nested deeper than %d levels"
@@ -248,16 +254,11 @@ def _parse_desc(tk, loader, depth=1):
     if cls is not None:
         children = []
         for _ in fields(cls):
-            children.append(_parse_desc(tk, loader, depth + 1))
+            children.append(_parse_desc(tk, depth + 1))
         tk.expect(")")
         return cls(*children)
     if head == "table":
-        path, pline, pcol = tk.atom("table path")
-        tk.expect(")")
-        try:
-            return FiniteTable(loader(path), path=path)
-        except (OSError, ValueError) as exc:
-            raise DescriptorSyntaxError(str(exc), pline, pcol) from exc
+        return _parse_leaf(tk, FiniteTable, "table path")
     if head == "group":
         factors = []
         while tk.peek() == "(":
@@ -268,18 +269,17 @@ def _parse_desc(tk, loader, depth=1):
         tk.expect(")")
         return Group(GroupSpec(tuple(factors)))
     if head == "semilattice":
-        spec = _parse_slspec(tk, loader)
+        spec = _parse_slspec(tk)
         tk.expect(")")
         return Semilattice(spec)
     raise DescriptorSyntaxError("unknown constructor %r" % head, hline, hcol)
 
 
-def parse_descriptor(text, loader=None):
-    """Parse a descriptor expression; `loader` maps a path to a table."""
-    if loader is None:
-        loader = load_table_file
+def parse_descriptor(text):
+    """Parse a descriptor expression; table and poset leaves are loaded
+    from the files they name."""
     tk = _Tokens(text)
-    desc = _parse_desc(tk, loader)
+    desc = _parse_desc(tk)
     if tk.peek() is not None:
         tok, line, col = tk.take()
         raise DescriptorSyntaxError("trailing input %r" % tok, line, col)

@@ -126,10 +126,9 @@ def _truncate_table(table, budget):
 def _factor_chunk(factor, room):
     # largest finite subgroup of one copy of the factor with order <= room
     if factor.kind == "cyclic":
-        for q in range(min(factor.param, room), 0, -1):
-            if factor.param % q == 0:
-                return q
-        return 1
+        # q = 1 always divides, so a divisor is found
+        return next(q for q in range(min(factor.param, room), 0, -1)
+                    if factor.param % q == 0)
     if factor.kind == "integers":
         return 1
     q = 1
@@ -220,10 +219,6 @@ class PredicateProfile:
     almost_clifford: bool
     has_singleton_square: bool
     witness: dict
-
-    @property
-    def is_finite(self) -> bool:
-        return self.size is not None
 
 
 class Descriptor:

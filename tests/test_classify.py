@@ -1,12 +1,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgclass.classify import (classify, classify_group, classify_semilattice,
-                              explain)
+from sgclass.classify import CITE_GROUP, CITE_SEMILATTICE, classify, explain
 from sgclass.descriptors import (OMEGA, Factor, FinitePoset, FiniteTable,
                                  Group, GroupSpec, Null, OmegaAntichainZero,
                                  OmegaChain, Product, Semilattice, Taimanov)
 
+from oracles import group_closed, semilattice_closed
 from test_descriptors import LEAF_TABLES, descriptor_st, group_of
 
 
@@ -47,30 +47,30 @@ class TestClassify:
 
 class TestClassifyGroup:
     def test_bounded_sum_of_omega_many(self):
-        v = classify_group(GroupSpec((Factor("cyclic", 2, OMEGA),)))
+        v = classify(Group(GroupSpec((Factor("cyclic", 2, OMEGA),))))
         assert v.c_closed and v.ideally_closed and v.projectively_closed
 
     def test_integers(self):
-        v = classify_group(GroupSpec((Factor("integers"),)))
+        v = classify(Group(GroupSpec((Factor("integers"),))))
         assert not v.c_closed
         assert v.failing_condition[0] == "subgroups-bounded"
 
     def test_cyclic_tower_torsion_but_unbounded(self):
-        v = classify_group(GroupSpec((Factor("cyclic-tower", 2),)))
+        v = classify(Group(GroupSpec((Factor("cyclic-tower", 2),))))
         assert not v.c_closed
 
 
 class TestClassifySemilattice:
     def test_antichain_with_zero_closed(self):
-        v = classify_semilattice(OmegaAntichainZero())
+        v = classify(Semilattice(OmegaAntichainZero()))
         assert v.c_closed and v.ideally_closed and v.projectively_closed
 
     def test_omega_chain(self):
-        v = classify_semilattice(OmegaChain())
+        v = classify(Semilattice(OmegaChain()))
         assert not v.c_closed and not v.ideally_closed
 
     def test_finite_poset(self, l3):
-        v = classify_semilattice(FinitePoset(l3))
+        v = classify(Semilattice(FinitePoset(l3)))
         assert v.c_closed and v.ideally_closed and v.projectively_closed
 
 
@@ -116,8 +116,12 @@ class TestInvariants:
     @settings(max_examples=100)
     @given(descriptor_st)
     def test_specialization_consistency(self, d):
+        # the failing condition is pinned by golden_classify.json
         v = classify(d)
+        verdicts = (v.c_closed, v.ideally_closed, v.projectively_closed)
         if isinstance(d, Group):
-            assert v == classify_group(d.spec)
+            assert verdicts == (group_closed(d.spec),) * 3
+            assert v.citation == CITE_GROUP
         if isinstance(d, Semilattice):
-            assert v == classify_semilattice(d.spec)
+            assert verdicts == (semilattice_closed(d.spec),) * 3
+            assert v.citation == CITE_SEMILATTICE

@@ -395,6 +395,16 @@ class TestCommands:
         assert main(["quotient", "--ideal", "2", l3_file]) == 2
         assert "not an ideal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--pairs", "1-2", "pairs look like a=b, got '1-2'"),
+        ("--pairs", "a=b", "pair members must be integers: 'a=b'"),
+        ("--ideal", "x", "ideal elements must be integers: 'x'"),
+    ])
+    def test_quotient_malformed_option_exits_two(self, option, value, message,
+                                                 l3_file, capsys):
+        assert main(["quotient", option, value, l3_file]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
     # "--pairs -1=0" would read as an option, so the value is attached
     @pytest.mark.parametrize("option", ["--ideal=0,7", "--ideal=-1",
                                         "--pairs=0=9", "--pairs=-1=0"])

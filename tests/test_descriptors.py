@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from sgclass import (CayleyTable, antichain_zero_table, chain_table,
                      cyclic_table, group_exponent, idempotents,
-                     max_chain_length, null_table, product_table,
+                     max_chain_length, null_table, product_table, relabel,
                      taimanov_table, validate)
 from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
                                  Factor, FinitePoset, FiniteTable, Group,
@@ -282,6 +282,12 @@ class TestTruncate:
         t = truncate(d, 6)
         assert t.n <= 6
         assert validate(t).associative
+
+    def test_table_with_no_small_subsemigroup_on_a_prefix(self):
+        # 0 generates this relabeled Z5, so no prefix {0..m-1} closes
+        # within the budget and the leaf falls back to the idempotent {1}
+        t = relabel(cyclic_table(5), (1, 0, 2, 3, 4))
+        assert truncate(FiniteTable(t), 2) == CayleyTable([[0]])
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import (CayleyTable, PreconditionError, cyclic_table,
                           taimanov_table, validate)
 from sgclass.harness import (CheckResult, enumerate_commutative,
-                             enumerate_commutative_naive, iso_class_count,
-                             lemma_suite,
-                             singleton_square_scan)
+                             lemma_suite, singleton_square_scan)
 from sgclass.quotients import rees_quotient
+
+from oracles import enumerate_commutative_naive, iso_class_count
 
 
 class TestEnumerator:
@@ -200,6 +200,14 @@ class TestSuiteFailurePath:
             CheckResult("quotient-h-class-lift", False,
                         "congruence [[0], [1]] class 0"),
         )
+
+    def test_pi_product_lower_bound_reports_the_first_failing_pair(self):
+        # the check reads only facts.pi; this map sends 2 to 1, so
+        # pi(1)pi(2) = 1 is not below pi(1*2) = pi(0) = 0
+        facts = harness._Facts(None, None, (0, 1, 1), None, None)
+        check = harness._check_pi_product_lower_bound
+        assert check(CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
+                     facts) == "x=1 y=2"
 
 
 class TestSingletonSquareScan:

@@ -45,6 +45,11 @@ class TestPowerSemigroup:
         assert all(ps.table.op[i][j] == ps.index_of({0})
                    for i in range(7) for j in range(7))
 
+    def test_index_of_refuses_the_empty_set(self, l3):
+        with pytest.raises(PreconditionError,
+                           match="the empty set is not an element"):
+            power_semigroup(l3).index_of(set())
+
     def test_size_guard(self):
         for n in (MAX_BASE_ORDER + 1, 17):
             with pytest.raises(PreconditionError,

@@ -43,15 +43,12 @@ PUBLIC_NAMES = [
     "center",
     "chain_table",
     "classify",
-    "classify_group",
-    "classify_semilattice",
     "clifford_part",
     "congruence_closure",
     "congruences",
     "cyclic_table",
     "describe",
     "enumerate_commutative",
-    "enumerate_commutative_naive",
     "evaluate",
     "explain",
     "generated_ideal",
@@ -61,7 +58,6 @@ PUBLIC_NAMES = [
     "idempotents",
     "is_congruence",
     "is_ideal",
-    "iso_class_count",
     "kernel_backend",
     "lemma_suite",
     "lift_idempotent",

@@ -186,6 +186,14 @@ class TestCongruenceConstructor:
         with pytest.raises(PreconditionError):
             Congruence(classes)
 
+    @pytest.mark.parametrize("classes, message", [
+        ([[0, 1], [1, 2]], "element 1 appears in two classes"),
+        ([[0], [2]], r"classes must partition 0\.\.n-1"),
+    ])
+    def test_refuses_overlaps_and_gaps(self, classes, message):
+        with pytest.raises(PreconditionError, match=message):
+            Congruence(classes)
+
     def test_refuses_a_float_member_before_any_quotient(self):
         with pytest.raises(PreconditionError, match="not an int"):
             quotient_by_congruence(null_table(2), Congruence([(0, 1.0)]))
@@ -207,6 +215,15 @@ class TestQuotientByCongruence:
         quotient, proj = quotient_by_congruence(z4, Congruence([(0, 2), (1, 3)]))
         assert quotient == cyclic_table(2)
         assert proj == (0, 1, 0, 1)
+
+    def test_rejects_a_partition_of_another_size(self):
+        with pytest.raises(PreconditionError,
+                           match="partition size 2 does not match table "
+                                 "order 3"):
+            congruence_violation(cyclic_table(3), Congruence([[0], [1]]))
+
+    def test_rees_congruence_of_the_empty_ideal_is_the_identity(self, t5):
+        assert rees_congruence(t5, set()) == Congruence.identity(5)
 
     def test_rejects_incompatible_partition(self, l3):
         bad = Congruence([(0, 2), (1,)])
