@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .descriptors import (Descriptor, Group, PredicateProfile, Semilattice,
-                          describe, evaluate)
+from .descriptors import (CONDITIONS, Descriptor, Group, PredicateProfile,
+                          Semilattice, describe, evaluate)
 
 CITE_MAIN = "Thm1.4"
 CITE_PROJECTIVE = "Thm1.7"
@@ -27,16 +27,6 @@ _THEOREM_TEXT = {
     CITE_GROUP: "Theorem 1.3",
     CITE_SEMILATTICE: "Corollary 5.2 (via Theorem 1.2)",
     CITE_PRECEDENT: "Example 1.6",
-}
-
-# profile attribute behind each condition name, plus the truth value that
-# means "condition satisfied"
-_CONDITIONS = {
-    "periodic": ("periodic", True),
-    "chain-finite": ("chain_finite", True),
-    "subgroups-bounded": ("subgroups_bounded", True),
-    "singleton-square": ("has_singleton_square", False),
-    "almost-clifford": ("almost_clifford", True),
 }
 
 _C_ORDER = ("periodic", "chain-finite", "subgroups-bounded", "singleton-square")
@@ -57,7 +47,7 @@ class ClosednessVerdict:
 def _first_failing(profile, order):
     """The first condition of `order` the profile breaks, with its witness."""
     for name in order:
-        attr, good = _CONDITIONS[name]
+        attr, good, _ = CONDITIONS[name]
         if getattr(profile, attr) is not good:
             return (name, profile.witness[attr])
     return None
@@ -72,8 +62,6 @@ def classify(d) -> ClosednessVerdict:
     semilattice cites its specialization, whose one condition decides all
     three verdicts.
     """
-    if not isinstance(d, Descriptor):
-        raise TypeError("classify expects a Descriptor")
     profile = evaluate(d)
     c_failing = _first_failing(profile, _C_ORDER)
     q_failing = _first_failing(profile, _PROJECTIVE_ORDER)
@@ -108,19 +96,11 @@ def explain(verdict: ClosednessVerdict) -> str:
         lines.append("finite => all properties hold")
     else:
         lines.append("cardinality: countably infinite")
-    lines.append("periodic: %s (%s)" % (_yesno(p.periodic), p.witness["periodic"]))
-    lines.append("chain-finite: %s (%s)"
-                 % (_yesno(p.chain_finite), p.witness["chain_finite"]))
-    bounded = "%s (%s)" % (_yesno(p.subgroups_bounded),
-                           p.witness["subgroups_bounded"])
-    if p.subgroups_bounded and p.exponent is not None:
-        bounded += " [exponent %d]" % p.exponent
-    lines.append("subgroups bounded: %s" % bounded)
-    lines.append("almost Clifford: %s (%s)"
-                 % (_yesno(p.almost_clifford), p.witness["almost_clifford"]))
-    lines.append("singleton square: %s (%s)"
-                 % (_yesno(p.has_singleton_square),
-                    p.witness["has_singleton_square"]))
+    for attr, _, label in CONDITIONS.values():
+        flag = getattr(p, attr)
+        lines.append("%s: %s (%s)" % (label, _yesno(flag), p.witness[attr]))
+        if attr == "subgroups_bounded" and flag and p.exponent is not None:
+            lines[-1] += " [exponent %d]" % p.exponent
     # the specializations prove all three verdicts by one theorem
     if verdict.citation in (CITE_GROUP, CITE_SEMILATTICE):
         c_cite = q_cite = _THEOREM_TEXT[verdict.citation]

@@ -1,17 +1,7 @@
-"""Command-line front end: table files, descriptor expressions, reports.
-
-Table file format: `#` starts a comment line; the first data line holds the
-order n; the next n lines hold n space-separated entries in [0, n); the row
-index is the left operand.
-
-Descriptor expression grammar:
-
-    desc   := "(" ( "table" PATH | "group" factor+ | "semilattice" slspec
-                  | "product" desc desc | "adjoin-zero" desc
-                  | "adjoin-identity" desc | "taimanov" | "null" ) ")"
-    factor := "(" ( "cyclic" INT | "prufer" PRIME | "integers"
-                  | "cyclic-tower" PRIME ) [ "x" (INT | "omega") ] ")"
-    slspec := "chain-omega" | "antichain-omega-zero" | "(" "poset" PATH ")"
+"""Command-line front end: the commands validate, analyze, classify,
+quotient, power, enumerate and suite, each printing a text report or, with
+`--json`, a JSON one.  Table files are read by `core.parse_table`,
+descriptor expressions by `descriptors.parse_descriptor`.
 
 Exit codes: 0 success, 1 property-failure findings, 2 usage/parse errors.
 """
@@ -21,281 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from dataclasses import fields
 
 from .classify import classify, explain
-from .core import (CayleyTable, PreconditionError, center, clifford_part,
+from .core import (PreconditionError, _Digits, center, clifford_part,
                    h_classes, idempotents, max_chain_length, natural_le,
-                   pi_map, validate)
-from .descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA, SEMILATTICE_WORDS,
-                          Factor, FinitePoset, FiniteTable, Group, GroupSpec,
-                          NotCommutativeError, Semilattice, describe, spell)
+                   parse_table, pi_map, render_table, validate)
+from .descriptors import (DescriptorSyntaxError, NotCommutativeError,
+                          describe, parse_descriptor)
 from .harness import (MAX_ENUM_ORDER, SUITE_CHECK_NAMES,
                       enumerate_commutative, kernel_backend, lemma_suite)
 from .power import power_semigroup
 from .quotients import (congruence_closure, quotient_by_congruence,
                         rees_quotient)
-
-
-class TableParseError(ValueError):
-    """Table file does not parse (position is included in the message)."""
-
-
-class DescriptorSyntaxError(ValueError):
-    """Descriptor expression does not parse; carries line and column."""
-
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = "line %d, column %d: %s" % (line, col, message)
-        super().__init__(message)
-        self.line = line
-        self.col = col
-
-
-# -- table files -------------------------------------------------------------
-
-def parse_table(text, require_associative=True) -> CayleyTable:
-    """Parse the table format; rejects non-associative tables by default
-    (pass require_associative=False for validate-only use)."""
-    rows = []
-    n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise TableParseError(
-                    "line %d: expected the order, got %r" % (lineno, line))
-            if n < 1:
-                raise TableParseError("line %d: order must be >= 1" % lineno)
-            continue
-        if len(rows) == n:
-            raise TableParseError("line %d: more than %d rows" % (lineno, n))
-        entries = line.split()
-        if len(entries) != n:
-            raise TableParseError("line %d: expected %d entries, got %d"
-                                  % (lineno, n, len(entries)))
-        row = []
-        col = 1
-        for tok in entries:
-            pos = raw.index(tok, col - 1) + 1
-            try:
-                v = int(tok)
-            except ValueError:
-                raise TableParseError(
-                    "line %d, column %d: %r is not an integer" % (lineno, pos, tok))
-            if not 0 <= v < n:
-                raise TableParseError(
-                    "line %d, column %d: entry %d out of range [0, %d)"
-                    % (lineno, pos, v, n))
-            row.append(v)
-            col = pos + len(tok)
-        rows.append(row)
-    if n is None:
-        raise TableParseError("no data lines")
-    if len(rows) != n:
-        raise TableParseError("expected %d rows, got %d" % (n, len(rows)))
-    table = CayleyTable._trusted(rows)
-    if require_associative:
-        report = validate(table)
-        if not report.associative:
-            raise TableParseError("table is not associative: witness %r"
-                                  % (report.assoc_witness,))
-    return table
-
-
-class _Digits(dict):
-    # memo of the decimal text of each int written
-    def __missing__(self, x):
-        text = self[x] = int.__repr__(x)
-        return text
-
-
-def render_table(table, comment=None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append("# %s" % part)
-    lines.append(str(table.n))
-    digits = _Digits()
-    for row in table.op:
-        lines.append(" ".join(map(digits.__getitem__, row)))
-    return "\n".join(lines) + "\n"
-
-
-def load_table_file(path, require_associative=True) -> CayleyTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read(), require_associative=require_associative)
-
-
-# -- descriptor expressions --------------------------------------------------
-
-_TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")
-
-
-class _Tokens:
-    def __init__(self, text):
-        self.items = []
-        line, line_start = 1, 0
-        for m in _TOKEN.finditer(text):
-            tok = m.group()
-            if tok == "\n":
-                line += 1
-                line_start = m.end()
-            else:
-                self.items.append((tok, line, m.start() - line_start + 1))
-        self.pos = 0
-        self.end = (line, len(text) - line_start + 1)
-
-    def peek(self):
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
-
-    def take(self):
-        if self.pos >= len(self.items):
-            raise DescriptorSyntaxError("unexpected end of input", *self.end)
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
-
-    def expect(self, value):
-        tok, line, col = self.take()
-        if tok != value:
-            raise DescriptorSyntaxError("expected %r, got %r" % (value, tok),
-                                        line, col)
-        return tok, line, col
-
-    def atom(self, what="name"):
-        tok, line, col = self.take()
-        if tok in "()":
-            raise DescriptorSyntaxError("expected %s, got %r" % (what, tok),
-                                        line, col)
-        return tok, line, col
-
-
-def _parse_int(tk, what):
-    tok, line, col = tk.atom(what)
-    try:
-        return int(tok), line, col
-    except ValueError:
-        raise DescriptorSyntaxError("%s must be an integer, got %r"
-                                    % (what, tok), line, col)
-
-
-def _parse_factor(tk):
-    _, line, col = tk.expect("(")
-    kind, kline, kcol = tk.atom("factor kind")
-    if kind not in ("cyclic", "prufer", "integers", "cyclic-tower"):
-        raise DescriptorSyntaxError("unknown factor kind %r" % kind, kline, kcol)
-    param = None
-    if kind != "integers":
-        param, pline, pcol = _parse_int(tk, "%s parameter" % kind)
-    else:
-        pline, pcol = kline, kcol
-    mult = 1
-    if tk.peek() == "x":
-        tk.take()
-        tok, mline, mcol = tk.atom("multiplicity")
-        if tok == OMEGA:
-            mult = OMEGA
-        else:
-            try:
-                mult = int(tok)
-            except ValueError:
-                raise DescriptorSyntaxError(
-                    "multiplicity must be an integer or 'omega', got %r" % tok,
-                    mline, mcol)
-            if mult < 1:
-                raise DescriptorSyntaxError("multiplicity must be >= 1",
-                                            mline, mcol)
-    tk.expect(")")
-    try:
-        return Factor(kind, param, mult)
-    except ValueError as exc:
-        raise DescriptorSyntaxError(str(exc), pline, pcol)
-
-
-def _parse_leaf(tk, cls, what):
-    """The rest of `(table PATH)` or `(poset PATH)`: the loaded file as a
-    `cls` leaf; a file that fails to load is reported at its path."""
-    path, line, col = tk.atom(what)
-    tk.expect(")")
-    try:
-        return cls(load_table_file(path), path=path)
-    except (OSError, ValueError) as exc:
-        raise DescriptorSyntaxError(str(exc), line, col) from exc
-
-
-def _parse_slspec(tk):
-    if tk.peek() == "(":
-        tk.take()
-        head, hline, hcol = tk.atom("semilattice spec")
-        if head != "poset":
-            raise DescriptorSyntaxError("unknown semilattice spec %r" % head,
-                                        hline, hcol)
-        return _parse_leaf(tk, FinitePoset, "poset path")
-    tok, line, col = tk.atom("semilattice spec")
-    if tok in SEMILATTICE_WORDS:
-        return SEMILATTICE_WORDS[tok]()
-    raise DescriptorSyntaxError("unknown semilattice spec %r" % tok, line, col)
-
-
-def _parse_desc(tk, depth=1):
-    _, line, col = tk.expect("(")
-    if depth > MAX_DEPTH:
-        raise DescriptorSyntaxError("descriptor nested deeper than %d levels"
-                                    % MAX_DEPTH, line, col)
-    head, hline, hcol = tk.atom("constructor")
-    cls = CONSTRUCTORS.get(head)
-    if cls is not None:
-        children = []
-        for _ in fields(cls):
-            children.append(_parse_desc(tk, depth + 1))
-        tk.expect(")")
-        return cls(*children)
-    if head == "table":
-        return _parse_leaf(tk, FiniteTable, "table path")
-    if head == "group":
-        factors = []
-        while tk.peek() == "(":
-            factors.append(_parse_factor(tk))
-        if not factors:
-            raise DescriptorSyntaxError("group needs at least one factor",
-                                        hline, hcol)
-        tk.expect(")")
-        return Group(GroupSpec(tuple(factors)))
-    if head == "semilattice":
-        spec = _parse_slspec(tk)
-        tk.expect(")")
-        return Semilattice(spec)
-    raise DescriptorSyntaxError("unknown constructor %r" % head, hline, hcol)
-
-
-def parse_descriptor(text):
-    """Parse a descriptor expression; table and poset leaves are loaded
-    from the files they name."""
-    tk = _Tokens(text)
-    desc = _parse_desc(tk)
-    if tk.peek() is not None:
-        tok, line, col = tk.take()
-        raise DescriptorSyntaxError("trailing input %r" % tok, line, col)
-    return desc
-
-
-def _render_leaf(x):
-    word = "poset" if isinstance(x, FinitePoset) else "table"
-    if x.path is None:
-        raise ValueError("cannot render a %s descriptor without a path" % word)
-    return "(%s %s)" % (word, x.path)
-
-
-def render_descriptor(d) -> str:
-    """Canonical text for a parsed descriptor; fixed under parse+render."""
-    return spell(d, _render_leaf)
 
 
 # -- commands ----------------------------------------------------------------
@@ -659,8 +387,9 @@ def main(argv=None) -> int:
     try:
         table = None
         if args.takes_table:
-            table = load_table_file(
-                args.table, require_associative=args.require_associative)
+            with open(args.table, "r", encoding="utf-8") as fh:
+                table = parse_table(
+                    fh.read(), require_associative=args.require_associative)
         code, as_json, as_text = args.func(args, table)
         if args.json:
             _print_json(as_json())

@@ -3,6 +3,10 @@
 Elements are dense indices 0..n-1; the row index of a table is the left
 operand.  Every function here is a pure function of immutable inputs and is
 safe to call concurrently.
+
+Table files (`parse_table`, `render_table`): `#` starts a comment line; the
+first data line holds the order n; the next n lines hold n space-separated
+entries in [0, n).  Every number is ASCII decimal, -?[0-9]+.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class CayleyTable:
 
     `_trusted` skips the checks and is used only where every cell is in
     range by construction: the power-semigroup recurrence (cells are subset
-    indices), the enumeration kernel's tables, `cli.parse_table` after it
+    indices), the enumeration kernel's tables, `parse_table` after it
     has checked every row and entry, and the two quotient builders, whose
     cells are class indices of a Rees projection or of a congruence that was
     checked or yielded by `congruences()`.
@@ -406,3 +410,90 @@ def restrict(table: CayleyTable, subset) -> tuple:
             row.append(pos[v])
         rows.append(row)
     return CayleyTable(rows), tuple(subset)
+
+
+# -- table files -------------------------------------------------------------
+
+class TableParseError(ValueError):
+    """Table file does not parse (position is included in the message)."""
+
+
+def _decimal(tok) -> int:
+    """int(tok) for an ASCII decimal token, -?[0-9]+, else ValueError; int()
+    alone also takes '+3', '1_0' and non-ASCII digits."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not a decimal integer: %r" % (tok,))
+    return int(tok)
+
+
+def parse_table(text, require_associative=True) -> CayleyTable:
+    """Parse the table format; rejects non-associative tables unless
+    require_associative=False (validate reports them, leaves check them)."""
+    rows = []
+    n = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            try:
+                n = _decimal(line)
+            except ValueError:
+                raise TableParseError(
+                    "line %d: expected the order, got %r" % (lineno, line))
+            if n < 1:
+                raise TableParseError("line %d: order must be >= 1" % lineno)
+            continue
+        if len(rows) == n:
+            raise TableParseError("line %d: more than %d rows" % (lineno, n))
+        entries = line.split()
+        if len(entries) != n:
+            raise TableParseError("line %d: expected %d entries, got %d"
+                                  % (lineno, n, len(entries)))
+        row = []
+        col = 1
+        for tok in entries:
+            pos = raw.index(tok, col - 1) + 1
+            try:
+                v = _decimal(tok)
+            except ValueError:
+                raise TableParseError(
+                    "line %d, column %d: %r is not an integer" % (lineno, pos, tok))
+            if not 0 <= v < n:
+                raise TableParseError(
+                    "line %d, column %d: entry %d out of range [0, %d)"
+                    % (lineno, pos, v, n))
+            row.append(v)
+            col = pos + len(tok)
+        rows.append(row)
+    if n is None:
+        raise TableParseError("no data lines")
+    if len(rows) != n:
+        raise TableParseError("expected %d rows, got %d" % (n, len(rows)))
+    table = CayleyTable._trusted(rows)
+    if require_associative:
+        report = validate(table)
+        if not report.associative:
+            raise TableParseError("table is not associative: witness %r"
+                                  % (report.assoc_witness,))
+    return table
+
+
+class _Digits(dict):
+    # memo of the decimal text of each int written
+    def __missing__(self, x):
+        text = self[x] = int.__repr__(x)
+        return text
+
+
+def render_table(table, comment=None) -> str:
+    lines = []
+    if comment:
+        for part in comment.splitlines():
+            lines.append("# %s" % part)
+    lines.append(str(table.n))
+    digits = _Digits()
+    for row in table.op:
+        lines.append(" ".join(map(digits.__getitem__, row)))
+    return "\n".join(lines) + "\n"

@@ -7,24 +7,38 @@ Each constructor class holds its rules: `profile()` gives the predicate
 profile the classifier consumes, from its children's profiles, and
 `truncate(budget)` a finite subsemigroup used to cross-check those rules.
 `evaluate` and `truncate` are the checked entry points.
+
+Descriptor expressions (`parse_descriptor`, `render_descriptor`):
+
+    desc   := "(" ( "table" PATH | "group" factor+ | "semilattice" slspec
+                  | "product" desc desc | "adjoin-zero" desc
+                  | "adjoin-identity" desc | "taimanov" | "null" ) ")"
+    factor := "(" ( "cyclic" INT | "prufer" PRIME | "integers"
+                  | "cyclic-tower" PRIME ) [ "x" (INT | "omega") ] ")"
+    slspec := "chain-omega" | "antichain-omega-zero" | "(" "poset" PATH ")"
+
+INT and PRIME are ASCII decimal, -?[0-9]+; PATH names a table file.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
-from .core import (CayleyTable, adjoin_identity, adjoin_zero,
+from .core import (CayleyTable, _decimal, adjoin_identity, adjoin_zero,
                    antichain_zero_table, chain_table, clifford_part,
                    cyclic_table, group_exponent, idempotents, monogenic_data,
-                   null_table, product_table, restrict, taimanov_table,
-                   validate)
+                   null_table, parse_table, product_table, restrict,
+                   taimanov_table, validate)
 
 OMEGA = "omega"  # multiplicity marker: countably many copies, direct sum
 
 # Largest prime parameter accepted: trial division stays under 10^6 steps.
 MAX_PRIME = 10 ** 12
+
+FACTOR_KINDS = ("cyclic", "prufer", "integers", "cyclic-tower")
 
 
 def is_prime(p) -> bool:
@@ -48,7 +62,7 @@ class Factor:
     mult: Union[int, str] = 1
 
     def __post_init__(self):
-        if self.kind not in ("cyclic", "prufer", "integers", "cyclic-tower"):
+        if self.kind not in FACTOR_KINDS:
             raise ValueError("unknown group factor kind %r" % (self.kind,))
         if self.kind == "cyclic":
             if not isinstance(self.param, int) or self.param < 1:
@@ -219,6 +233,17 @@ class PredicateProfile:
     almost_clifford: bool
     has_singleton_square: bool
     witness: dict
+
+
+# The conditions of Theorems 1.4 and 1.7, in report order: each name maps to
+# the profile attribute behind it, the value that meets it, and its label.
+CONDITIONS = {
+    "periodic": ("periodic", True, "periodic"),
+    "chain-finite": ("chain_finite", True, "chain-finite"),
+    "subgroups-bounded": ("subgroups_bounded", True, "subgroups bounded"),
+    "almost-clifford": ("almost_clifford", True, "almost Clifford"),
+    "singleton-square": ("has_singleton_square", False, "singleton square"),
+}
 
 
 class Descriptor:
@@ -530,6 +555,182 @@ def describe(d) -> str:
     return spell(d, _describe_leaf)
 
 
+class DescriptorSyntaxError(ValueError):
+    """Descriptor expression does not parse; carries line and column."""
+
+    def __init__(self, message, line=None, col=None):
+        if line is not None:
+            message = "line %d, column %d: %s" % (line, col, message)
+        super().__init__(message)
+        self.line = line
+        self.col = col
+
+
+_TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")
+
+
+class _Tokens:
+    def __init__(self, text):
+        self.items = []
+        line, line_start = 1, 0
+        for m in _TOKEN.finditer(text):
+            tok = m.group()
+            if tok == "\n":
+                line += 1
+                line_start = m.end()
+            else:
+                self.items.append((tok, line, m.start() - line_start + 1))
+        self.pos = 0
+        self.end = (line, len(text) - line_start + 1)
+
+    def peek(self):
+        return self.items[self.pos][0] if self.pos < len(self.items) else None
+
+    def take(self):
+        if self.pos >= len(self.items):
+            raise DescriptorSyntaxError("unexpected end of input", *self.end)
+        item = self.items[self.pos]
+        self.pos += 1
+        return item
+
+    def expect(self, value):
+        tok, line, col = self.take()
+        if tok != value:
+            raise DescriptorSyntaxError("expected %r, got %r" % (value, tok),
+                                        line, col)
+        return tok, line, col
+
+    def atom(self, what="name"):
+        tok, line, col = self.take()
+        if tok in "()":
+            raise DescriptorSyntaxError("expected %s, got %r" % (what, tok),
+                                        line, col)
+        return tok, line, col
+
+
+def _parse_int(tk, what):
+    tok, line, col = tk.atom(what)
+    try:
+        return _decimal(tok), line, col
+    except ValueError:
+        raise DescriptorSyntaxError("%s must be an integer, got %r"
+                                    % (what, tok), line, col)
+
+
+def _parse_factor(tk):
+    _, line, col = tk.expect("(")
+    kind, kline, kcol = tk.atom("factor kind")
+    if kind not in FACTOR_KINDS:
+        raise DescriptorSyntaxError("unknown factor kind %r" % kind, kline, kcol)
+    param = None
+    if kind != "integers":
+        param, pline, pcol = _parse_int(tk, "%s parameter" % kind)
+    else:
+        pline, pcol = kline, kcol
+    mult = 1
+    if tk.peek() == "x":
+        tk.take()
+        tok, mline, mcol = tk.atom("multiplicity")
+        if tok == OMEGA:
+            mult = OMEGA
+        else:
+            try:
+                mult = _decimal(tok)
+            except ValueError:
+                raise DescriptorSyntaxError(
+                    "multiplicity must be an integer or 'omega', got %r" % tok,
+                    mline, mcol)
+            if mult < 1:
+                raise DescriptorSyntaxError("multiplicity must be >= 1",
+                                            mline, mcol)
+    tk.expect(")")
+    try:
+        return Factor(kind, param, mult)
+    except ValueError as exc:
+        raise DescriptorSyntaxError(str(exc), pline, pcol)
+
+
+def _parse_leaf(tk, cls, what):
+    """The rest of `(table PATH)` or `(poset PATH)`: the loaded file as a
+    `cls` leaf; a file that fails to load is reported at its path."""
+    path, line, col = tk.atom(what)
+    tk.expect(")")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            table = parse_table(fh.read(), require_associative=False)
+        return cls(table, path=path)
+    except (OSError, ValueError) as exc:
+        raise DescriptorSyntaxError(str(exc), line, col) from exc
+
+
+def _parse_slspec(tk):
+    if tk.peek() == "(":
+        tk.take()
+        head, hline, hcol = tk.atom("semilattice spec")
+        if head != "poset":
+            raise DescriptorSyntaxError("unknown semilattice spec %r" % head,
+                                        hline, hcol)
+        return _parse_leaf(tk, FinitePoset, "poset path")
+    tok, line, col = tk.atom("semilattice spec")
+    if tok in SEMILATTICE_WORDS:
+        return SEMILATTICE_WORDS[tok]()
+    raise DescriptorSyntaxError("unknown semilattice spec %r" % tok, line, col)
+
+
+def _parse_desc(tk, depth=1):
+    _, line, col = tk.expect("(")
+    if depth > MAX_DEPTH:
+        raise DescriptorSyntaxError("descriptor nested deeper than %d levels"
+                                    % MAX_DEPTH, line, col)
+    head, hline, hcol = tk.atom("constructor")
+    cls = CONSTRUCTORS.get(head)
+    if cls is not None:
+        children = []
+        for _ in fields(cls):
+            children.append(_parse_desc(tk, depth + 1))
+        tk.expect(")")
+        return cls(*children)
+    if head == "table":
+        return _parse_leaf(tk, FiniteTable, "table path")
+    if head == "group":
+        factors = []
+        while tk.peek() == "(":
+            factors.append(_parse_factor(tk))
+        if not factors:
+            raise DescriptorSyntaxError("group needs at least one factor",
+                                        hline, hcol)
+        tk.expect(")")
+        return Group(GroupSpec(tuple(factors)))
+    if head == "semilattice":
+        spec = _parse_slspec(tk)
+        tk.expect(")")
+        return Semilattice(spec)
+    raise DescriptorSyntaxError("unknown constructor %r" % head, hline, hcol)
+
+
+def parse_descriptor(text):
+    """Parse a descriptor expression; table and poset leaves are loaded
+    from the files they name."""
+    tk = _Tokens(text)
+    desc = _parse_desc(tk)
+    if tk.peek() is not None:
+        tok, line, col = tk.take()
+        raise DescriptorSyntaxError("trailing input %r" % tok, line, col)
+    return desc
+
+
+def _render_leaf(x):
+    word = "poset" if isinstance(x, FinitePoset) else "table"
+    if x.path is None:
+        raise ValueError("cannot render a %s descriptor without a path" % word)
+    return "(%s %s)" % (word, x.path)
+
+
+def render_descriptor(d) -> str:
+    """Canonical text for a parsed descriptor; fixed under parse+render."""
+    return spell(d, _render_leaf)
+
+
 def _descriptor(d):
     if not isinstance(d, Descriptor):
         raise TypeError("not a descriptor: %r" % (d,))
@@ -549,10 +750,8 @@ def evaluate(d) -> PredicateProfile:
     """
     profile = _descriptor(d).profile()
     if profile.size is not None:
-        good = (profile.periodic and profile.chain_finite
-                and profile.subgroups_bounded and profile.almost_clifford
-                and not profile.has_singleton_square)
-        if not good:
+        if any(getattr(profile, attr) is not good
+               for attr, good, _ in CONDITIONS.values()):
             raise RuntimeError("internal rule error: finite profile of %s "
                                "violates the all-good clause" % describe(d))
     return profile

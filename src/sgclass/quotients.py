@@ -270,9 +270,9 @@ def congruences(table):
     ordered by least member, and the labels are its `class_of`.  Guarded to
     order <= MAX_CONGRUENCE_ORDER.
 
-    The search runs to the end before this returns: the result is an
-    iterator over the list of every leaf, built eagerly by a plain
-    recursion rather than through a chain of nested generators.
+    A generator: the guard and the whole search run at the first `next()`,
+    which collects every leaf by a plain recursion rather than through a
+    chain of nested generators, and the leaves are then yielded in order.
     """
     n = table.n
     if n > MAX_CONGRUENCE_ORDER:
@@ -308,7 +308,7 @@ def congruences(table):
                 extend(i + 1, max(top, c))
 
     extend(0, -1)
-    return iter(leaves)
+    yield from leaves
 
 
 __all__ = [

@@ -12,16 +12,22 @@ import tracemalloc
 import pytest
 
 import sgclass
-from sgclass import cli
-from sgclass.cli import (MAX_DEPTH, DescriptorSyntaxError, TableParseError,
-                         load_table_file, main, parse_descriptor, parse_table,
-                         render_descriptor, render_table)
-from sgclass.core import chain_table, cyclic_table, taimanov_table
-from sgclass.descriptors import (CONSTRUCTORS, OMEGA, SEMILATTICE_WORDS,
+from sgclass import cli, core, descriptors
+from sgclass.cli import main
+from sgclass.core import (TableParseError, chain_table, cyclic_table,
+                          parse_table, render_table, taimanov_table)
+from sgclass.descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA,
+                                 SEMILATTICE_WORDS, DescriptorSyntaxError,
                                  Factor, FiniteTable, Group, Null, Product,
-                                 Semilattice, Taimanov)
+                                 Semilattice, Taimanov, parse_descriptor,
+                                 render_descriptor)
 
 L3_TEXT = "3\n0 0 0\n0 1 1\n0 1 2\n"
+
+
+def load_table_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_table(fh.read())
 
 
 @pytest.fixture
@@ -81,6 +87,28 @@ class TestParseTable:
         for table in (chain_table(3), cyclic_table(4), taimanov_table(5)):
             assert parse_table(render_table(table)) == table
 
+    # int() also reads these tokens, as 2, 1, 10 and 3
+    @pytest.mark.parametrize("text,message", [
+        ("+2\n0 0\n0 1\n", "line 1: expected the order, got '+2'"),
+        ("\u0662\n0 0\n0 1\n", "line 1: expected the order, got '\u0662'"),
+        ("2\n0 0\n0 +1\n", "line 3, column 3: '+1' is not an integer"),
+        ("2\n0 0\n0 1_0\n", "line 3, column 3: '1_0' is not an integer"),
+        ("4\n0 0 0 0\n0 \u0663 0 0\n0 0 0 0\n0 0 0 0\n",
+         "line 3, column 3: '\u0663' is not an integer"),
+    ])
+    def test_only_ascii_decimal_integers(self, text, message):
+        with pytest.raises(TableParseError) as exc:
+            parse_table(text)
+        assert str(exc.value) == message
+
+    def test_signed_and_zero_padded_decimals_keep_their_meaning(self):
+        with pytest.raises(TableParseError, match="^line 1: order must be >= 1$"):
+            parse_table("-0\n")
+        with pytest.raises(TableParseError,
+                           match=r"^line 2, column 1: entry -1 out of range"):
+            parse_table("1\n-1\n")
+        assert parse_table("02\n00 0\n0 01\n") == chain_table(2)
+
 
 class TestParseDescriptor:
     def test_group_prufer(self):
@@ -120,6 +148,71 @@ class TestParseDescriptor:
             parse_descriptor("(taimanov extra)")
         with pytest.raises(DescriptorSyntaxError, match="unexpected end"):
             parse_descriptor("(null")
+
+    @pytest.mark.parametrize("text,message", [
+        ("(table)", "line 1, column 7: expected table path, got ')'"),
+        ("(group (cyclic x))",
+         "line 1, column 16: cyclic parameter must be an integer, got 'x'"),
+        ("(group (cyclic 2 x foo))", "line 1, column 20: multiplicity must "
+         "be an integer or 'omega', got 'foo'"),
+        ("(semilattice (foo))",
+         "line 1, column 15: unknown semilattice spec 'foo'"),
+        ("(group (cyclic 0))",
+         "line 1, column 16: cyclic order must be a positive integer"),
+        ("(group (cyclic -0))",
+         "line 1, column 16: cyclic order must be a positive integer"),
+        ("(group (cyclic 2 x -1))",
+         "line 1, column 20: multiplicity must be >= 1"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(DescriptorSyntaxError) as exc:
+            parse_descriptor(text)
+        assert str(exc.value) == message
+
+    # int() also reads these tokens, as 10, 3, 3 and 2
+    @pytest.mark.parametrize("text,message", [
+        ("(group (cyclic 1_0))",
+         "line 1, column 16: cyclic parameter must be an integer, got '1_0'"),
+        ("(group (cyclic +3))",
+         "line 1, column 16: cyclic parameter must be an integer, got '+3'"),
+        ("(group (prufer \u0663))", "line 1, column 16: prufer parameter "
+         "must be an integer, got '\u0663'"),
+        ("(group (cyclic 2 x +2))", "line 1, column 20: multiplicity must "
+         "be an integer or 'omega', got '+2'"),
+    ])
+    def test_only_ascii_decimal_integers(self, text, message):
+        with pytest.raises(DescriptorSyntaxError) as exc:
+            parse_descriptor(text)
+        assert str(exc.value) == message
+
+    def test_non_decimal_integer_exits_two(self, capsys):
+        assert main(["classify", "(group (cyclic 1_0))"]) == 2
+        assert capsys.readouterr() == ("", "error: line 1, column 16: cyclic "
+                                       "parameter must be an integer, "
+                                       "got '1_0'\n")
+
+    def test_non_associative_leaves_are_refused_once_at_their_path(
+            self, tmp_path):
+        path = tmp_path / "bad.tbl"
+        path.write_text("2\n1 0\n0 0\n")
+        with pytest.raises(DescriptorSyntaxError) as exc:
+            parse_descriptor("(table %s)" % path)
+        assert str(exc.value) == ("line 1, column 8: table is not "
+                                  "associative: witness (0, 0, 1)")
+        with pytest.raises(DescriptorSyntaxError) as exc:
+            parse_descriptor("(semilattice (poset %s))" % path)
+        assert str(exc.value) == ("line 1, column 21: poset table is not "
+                                  "associative: witness (0, 0, 1)")
+
+    def test_each_leaf_is_validated_once(self, l3_file, monkeypatch):
+        calls = []
+        real = core.validate
+        for module in (core, descriptors):
+            monkeypatch.setattr(module, "validate",
+                                lambda t: calls.append(t) or real(t))
+        parse_descriptor("(product (table %s) (semilattice (poset %s)))"
+                         % (l3_file, l3_file))
+        assert calls == [chain_table(3)] * 2
 
     def test_multiplicities(self):
         d = parse_descriptor("(group (cyclic 2 x omega) (cyclic 3 x 2))")
@@ -294,12 +387,12 @@ def grammar_of(text):
 class TestGrammarDocs:
     README = pathlib.Path(__file__).parents[1] / "README.md"
 
-    def test_readme_grammar_equals_the_cli_docstring(self):
+    def test_readme_grammar_equals_the_descriptors_docstring(self):
         readme = grammar_of(self.README.read_text(encoding="utf-8"))
-        assert readme == grammar_of(cli.__doc__)
+        assert readme == grammar_of(descriptors.__doc__)
 
     def test_grammar_names_every_keyword(self):
-        quoted = set(re.findall(r'"([^"]+)"', grammar_of(cli.__doc__)))
+        quoted = set(re.findall(r'"([^"]+)"', grammar_of(descriptors.__doc__)))
         words = (set(CONSTRUCTORS) | set(SEMILATTICE_WORDS)
                  | {"table", "group", "semilattice", "poset"})
         assert words <= quoted

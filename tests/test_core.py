@@ -451,3 +451,8 @@ class TestBuilders:
     def test_restrict_rejects_unclosed(self, z3):
         with pytest.raises(PreconditionError, match="not closed"):
             restrict(z3, {0, 1})
+
+    def test_restrict_rejects_the_empty_set(self, z3):
+        with pytest.raises(PreconditionError,
+                           match="^cannot restrict to the empty set$"):
+            restrict(z3, set())

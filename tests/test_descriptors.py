@@ -6,12 +6,13 @@ from sgclass import (CayleyTable, antichain_zero_table, chain_table,
                      cyclic_table, group_exponent, idempotents,
                      max_chain_length, null_table, product_table, relabel,
                      taimanov_table, validate)
+from sgclass.classify import classify
 from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
                                  Factor, FinitePoset, FiniteTable, Group,
                                  GroupSpec, Null, OmegaAntichainZero,
                                  OmegaChain, Product, Semilattice, Taimanov,
                                  cardinality, describe, evaluate, is_prime,
-                                 truncate)
+                                 render_descriptor, truncate)
 from sgclass.harness import singleton_square_scan
 
 
@@ -78,6 +79,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="not idempotent"):
             FinitePoset(z3)
 
+    def test_finite_table_must_be_associative(self):
+        with pytest.raises(ValueError, match=r"^table is not associative: "
+                                             r"witness \(0, 0, 1\)$"):
+            FiniteTable(CayleyTable([[1, 0], [0, 0]]))
+
+    @pytest.mark.parametrize("args,message", [
+        (("bogus", 2), "unknown group factor kind 'bogus'"),
+        (("cyclic", 0), "cyclic order must be a positive integer"),
+        (("integers", 3), "integers takes no parameter"),
+        (("cyclic", 2, 0), "multiplicity must be a positive integer or omega"),
+    ])
+    def test_factor_refusals(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            Factor(*args)
+        assert str(exc.value) == message
+
+    def test_group_spec_takes_only_factors(self):
+        with pytest.raises(ValueError,
+                           match="^group factors must be Factor instances$"):
+            GroupSpec((1,))
+
+    def test_leaves_without_a_path_do_not_render(self, l3):
+        with pytest.raises(ValueError, match="^cannot render a table "
+                                             "descriptor without a path$"):
+            render_descriptor(FiniteTable(l3))
+        with pytest.raises(ValueError, match="^cannot render a poset "
+                                             "descriptor without a path$"):
+            render_descriptor(Semilattice(FinitePoset(l3)))
+
 
 class TestDepthLimit:
     def test_deepest_chain_built_in_python_works(self):
@@ -109,8 +139,8 @@ class TestNotADescriptor:
     @pytest.mark.parametrize("x", [3, CayleyTable([[0]]), OmegaChain()],
                              ids=["int", "table", "spec"])
     @pytest.mark.parametrize("call", [
-        evaluate, cardinality, describe, lambda x: truncate(x, 4)],
-        ids=["evaluate", "cardinality", "describe", "truncate"])
+        evaluate, cardinality, describe, lambda x: truncate(x, 4), classify],
+        ids=["evaluate", "cardinality", "describe", "truncate", "classify"])
     def test_raises_type_error(self, call, x):
         with pytest.raises(TypeError, match="not a descriptor"):
             call(x)

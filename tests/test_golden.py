@@ -33,11 +33,11 @@ import tempfile
 
 import pytest
 
-from sgclass.cli import main, parse_descriptor, render_descriptor, render_table
+from sgclass.cli import main
 from sgclass.core import (CayleyTable, adjoin_zero, antichain_zero_table,
                           chain_table, cyclic_table, null_table,
-                          product_table, taimanov_table)
-from sgclass.descriptors import truncate
+                          product_table, render_table, taimanov_table)
+from sgclass.descriptors import parse_descriptor, render_descriptor, truncate
 from sgclass.harness import enumerate_commutative
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_classify.json")

@@ -2,8 +2,8 @@ import pytest
 
 from sgclass import _kernel, harness
 from sgclass._kernel import canonical_form, commutative_tables
-from sgclass.core import (CayleyTable, PreconditionError, cyclic_table,
-                          taimanov_table, validate)
+from sgclass.core import (CayleyTable, PreconditionError, chain_table,
+                          cyclic_table, taimanov_table, validate)
 from sgclass.harness import (CheckResult, enumerate_commutative,
                              lemma_suite, singleton_square_scan)
 from sgclass.quotients import rees_quotient
@@ -200,6 +200,36 @@ class TestSuiteFailurePath:
             CheckResult("quotient-h-class-lift", False,
                         "congruence [[0], [1]] class 0"),
         )
+
+    # each check below reads only the facts it is handed; a wrong fact makes
+    # it fail on a table that passes the suite
+
+    def test_root_ideal_absorption_reports_the_first_escape(self):
+        # the subgroup at 0 in Z2 is {0, 1}; claimed as {0}, the root 1 of
+        # {0} times 0 leaves it
+        facts = harness._Facts(frozenset({0}), ({0}, {1}), None, None, None)
+        check = harness._check_root_absorption
+        assert check(cyclic_table(2), facts) == "e=0 x=1 y=0"
+
+    def test_pi_homomorphism_reports_the_first_failing_pair(self):
+        # swapping the idempotents 1 and 2 of the chain 0 < 1 < 2 breaks min
+        facts = harness._Facts(None, None, (0, 2, 1), None, None)
+        check = harness._check_pi_homomorphism
+        assert check(chain_table(3), facts) == "x=1 y=2"
+
+    def test_h_class_products_reports_the_first_escape(self):
+        # {0, 1} claimed as the subgroup at 0 in Z3 is not closed: 1 + 1 = 2
+        facts = harness._Facts(frozenset({0}), ({0, 1}, {0, 1}, {2}), None,
+                               None, None)
+        check = harness._check_h_class_products
+        assert check(cyclic_table(3), facts) == "e=0 f=0 a=1 b=1"
+
+    def test_z_sets_ascending_reports_the_first_shrinking_layer(self):
+        # with the subgroup at 0 in Z2 claimed as {0}, 1 has its even
+        # powers in it but not its odd ones
+        facts = harness._Facts(frozenset({0}), ({0}, {1}), None, [0, 1], None)
+        check = harness._check_z_sets_ascending
+        assert check(cyclic_table(2), facts) == "e=0 k=2"
 
     def test_pi_product_lower_bound_reports_the_first_failing_pair(self):
         # the check reads only facts.pi; this map sends 2 to 1, so

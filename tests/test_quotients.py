@@ -346,6 +346,12 @@ class TestCongruenceEnumeration:
         with pytest.raises(PreconditionError):
             next(congruences(null_table(7)))
 
+    def test_guard_and_search_wait_for_the_first_next(self):
+        search = congruences(null_table(7))
+        with pytest.raises(PreconditionError,
+                           match="limited to order <= 6"):
+            next(search)
+
     def test_same_list_as_bell_filter_on_corpus5(self, corpus5):
         for table in corpus5:
             assert list(congruences(table)) == \

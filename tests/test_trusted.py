@@ -11,7 +11,7 @@ as the checked constructor would give it.
 import pytest
 
 from sgclass import CayleyTable, cyclic_table, harness, product_table
-from sgclass.cli import parse_table, render_table
+from sgclass.core import parse_table, render_table
 from sgclass.power import power_semigroup
 from sgclass.quotients import (Congruence, congruences, generated_ideal,
                                quotient_by_congruence, rees_quotient)
