@@ -14,9 +14,9 @@ import os
 import sys
 
 from .classify import classify, explain
-from .core import (PreconditionError, _Digits, center, clifford_part,
-                   h_classes, idempotents, max_chain_length, natural_le,
-                   parse_table, pi_map, render_table, validate)
+from .core import (PreconditionError, _decimal, _Digits, center,
+                   clifford_part, h_classes, idempotents, max_chain_length,
+                   natural_le, parse_table, pi_map, render_table, validate)
 from .descriptors import (DescriptorSyntaxError, NotCommutativeError,
                           describe, parse_descriptor)
 from .harness import (MAX_ENUM_ORDER, SUITE_CHECK_NAMES,
@@ -270,10 +270,11 @@ def cmd_suite(args, table):
     failures = []
     total = 0
     out = args.out or "."
+    known = {}  # quotient facts shared by the tables of this run only
     for n in range(1, args.max_order + 1):
         for idx, t in enumerate(enumerate_commutative(n, up_to_iso=True)):
             total += 1
-            report = lemma_suite(t)
+            report = lemma_suite(t, known)
             if report.ok:
                 continue
             failed = [r.name for r in report.failures]
@@ -305,7 +306,7 @@ def cmd_suite(args, table):
 
 def _parse_elems(text):
     try:
-        return frozenset(int(tok) for tok in text.replace(",", " ").split())
+        return frozenset(_decimal(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise PreconditionError("ideal elements must be integers: %r" % text)
 
@@ -320,11 +321,20 @@ def _parse_pairs(text):
         if len(parts) != 2:
             raise PreconditionError("pairs look like a=b, got %r" % chunk)
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = _decimal(parts[0].strip()), _decimal(parts[1].strip())
         except ValueError:
             raise PreconditionError("pair members must be integers: %r" % chunk)
         pairs.append((x, y))
     return pairs
+
+
+def _int_option(text):
+    # argparse's type=int, reading only ASCII decimal tokens as files and
+    # descriptors do, with the message type=int gives
+    try:
+        return _decimal(text.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
 
 
 def _register(p, func, table=True, require_associative=True):
@@ -368,14 +378,14 @@ def build_parser():
     _register(p, cmd_power)
 
     p = sub.add_parser("enumerate", help="all commutative semigroups of one order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_option, required=True)
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--out", help="write tables into this directory")
     _register(p, cmd_enumerate, table=False)
 
     p = sub.add_parser("suite", help="run every structural check on every "
                                      "table up to an order")
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-order", type=_int_option, default=4)
     p.add_argument("--out", help="directory for failure replay files")
     _register(p, cmd_suite, table=False)
 

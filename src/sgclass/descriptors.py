@@ -556,14 +556,13 @@ def describe(d) -> str:
 
 
 class DescriptorSyntaxError(ValueError):
-    """Descriptor expression does not parse; carries line and column."""
+    """Descriptor expression does not parse; the message leads with the
+    line and column when they are given."""
 
     def __init__(self, message, line=None, col=None):
         if line is not None:
             message = "line %d, column %d: %s" % (line, col, message)
         super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 _TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")

@@ -65,7 +65,8 @@ class SuiteReport:
 
 
 class _Facts(NamedTuple):
-    """What the checks of one `lemma_suite` call share, each computed once.
+    """What the checks of one `lemma_suite` call share, each computed once
+    per call or, for the quotient facts, once per `known`.
 
     quotients holds (congruence, projection, quotient idempotents, quotient
     H-classes) for every congruence of the table, in search order.
@@ -175,22 +176,27 @@ _SUITE = (
 SUITE_CHECK_NAMES = tuple(name for name, _ in _SUITE)
 
 
-def lemma_suite(table) -> SuiteReport:
+def lemma_suite(table, known=None) -> SuiteReport:
     """Run every structural check on one commutative table.
 
     Failures come back as data (name plus minimal counterexample), never
     as exceptions, for tables of order up to quotients.MAX_CONGRUENCE_ORDER;
     a larger table is refused with PreconditionError before any check runs.
 
-    The seven checks share one `_Facts`: the table's idempotents, H-classes,
-    pi map and center are computed once, and so are the idempotents and
-    H-classes of each distinct quotient table, however many congruences
-    give it.  Nothing is kept from one call to the next.
+    The seven checks share one `_Facts`.  The idempotents and H-classes of
+    each distinct quotient table are computed once and kept in `known`, a
+    dict from quotient cells to (idempotents, H-classes); the table's own
+    come from there too, since it is its own quotient by the identity
+    congruence.  Its pi map and center are computed once per call.  A
+    caller that runs many tables, as `suite` does, passes one `known` to
+    all of them, so a quotient met again is not recomputed; without one,
+    a fresh dict serves this call alone.
     """
+    if known is None:
+        known = {}
     # every congruence comes from congruences(table), so each quotient skips
     # quotient_by_congruence's compatibility check
     quotients = []
-    known = {}  # quotient cells -> (idempotents, h_classes)
     for cong in congruences(table):
         quotient, proj = _quotient(table, cong)
         shared = known.get(quotient.op)
@@ -198,8 +204,8 @@ def lemma_suite(table) -> SuiteReport:
             shared = known[quotient.op] = (idempotents(quotient),
                                            h_classes(quotient))
         quotients.append((cong, proj) + shared)
-    facts = _Facts(idempotents(table), h_classes(table), pi_map(table),
-                   sorted(center(table)), quotients)
+    facts = _Facts(*known[table.op], pi_map(table), sorted(center(table)),
+                   quotients)
     results = []
     for name, check in _SUITE:
         ce = check(table, facts)

@@ -51,13 +51,16 @@ class Congruence:
     Compatibility with a table is a separate check (`congruence_violation`);
     `congruence_closure` always produces compatible partitions.
 
+    A congruence stores only `class_of`, the restricted-growth labels: x is
+    in class `class_of[x]`, and each new label is one past the largest
+    before it, so class k is the k-th class by least member.  `n`,
+    `classes`, equality, hashing and the repr are derived from it.
+
     The constructor checks that the classes are nonempty sets of ints that
-    partition 0..n-1.  `_trusted` skips those checks and is used only by
-    `congruences()`, whose restricted-growth labels give the classes, in
-    order of least member, and `class_of` directly.
+    partition 0..n-1.  `_trusted` skips those checks.
     """
 
-    __slots__ = ("n", "classes", "class_of")
+    __slots__ = ("class_of",)
 
     def __init__(self, classes):
         try:
@@ -71,7 +74,7 @@ class Congruence:
             for x in cls:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise PreconditionError("class member %r is not an int" % (x,))
-        classes = tuple(sorted(map(frozenset, classes), key=min))
+        classes = sorted(map(frozenset, classes), key=min)
         seen = {}
         for idx, cls in enumerate(classes):
             for x in cls:
@@ -81,17 +84,13 @@ class Congruence:
         n = len(seen)
         if sorted(seen) != list(range(n)):
             raise PreconditionError("classes must partition 0..n-1")
-        self.n = n
-        self.classes = classes
         self.class_of = tuple(seen[x] for x in range(n))
 
     @classmethod
-    def _trusted(cls, classes, class_of):
-        # classes: a tuple of frozensets ordered by least member, partitioning
-        # 0..n-1; class_of: a tuple mapping each element to its class index
+    def _trusted(cls, class_of):
+        # class_of: a tuple of restricted-growth labels, as `congruences()`
+        # builds them at each leaf of its search
         self = object.__new__(cls)
-        self.n = len(class_of)
-        self.classes = classes
         self.class_of = class_of
         return self
 
@@ -99,14 +98,26 @@ class Congruence:
     def identity(cls, n):
         return cls([(x,) for x in range(n)])
 
+    @property
+    def n(self):
+        return len(self.class_of)
+
+    @property
+    def classes(self):
+        """The classes as a tuple of frozensets, ordered by least member."""
+        members = [[] for _ in range(max(self.class_of, default=-1) + 1)]
+        for x, c in enumerate(self.class_of):
+            members[c].append(x)
+        return tuple(map(frozenset, members))
+
     def __eq__(self, other):
-        return isinstance(other, Congruence) and self.classes == other.classes
+        return isinstance(other, Congruence) and self.class_of == other.class_of
 
     def __hash__(self):
-        return hash(self.classes)
+        return hash(self.class_of)
 
     def __repr__(self):
-        return "Congruence(%r)" % (sorted(sorted(c) for c in self.classes),)
+        return "Congruence(%r)" % ([sorted(c) for c in self.classes],)
 
 
 def _check_ideal(table, ideal):
@@ -205,10 +216,15 @@ def quotient_by_congruence(table, cong) -> tuple:
 
 
 def _quotient(table, cong) -> tuple:
-    # quotient_by_congruence past its check, for a congruence of the table
+    # quotient_by_congruence past its check, for a congruence of the table;
+    # the least member of class k is the first element labeled k
     cf = cong.class_of
-    reps = [min(c) for c in cong.classes]
-    rows = [[cf[table.op[a][b]] for b in reps] for a in reps]
+    reps = []
+    for x, c in enumerate(cf):
+        if c == len(reps):
+            reps.append(x)
+    op = table.op
+    rows = [[cf[op[a][b]] for b in reps] for a in reps]
     return CayleyTable._trusted(rows), cf
 
 
@@ -250,7 +266,8 @@ def lift_idempotent(table, cong, e_class) -> int:
 
 def _lift_idempotent(table, cong, e_class, idem) -> int:
     # lift_idempotent past its checks, handed the table's idempotents
-    candidates = sorted(idem & cong.classes[e_class])
+    cf = cong.class_of
+    candidates = sorted(e for e in idem if cf[e] == e_class)
     if not candidates:
         raise PreconditionError("class %d is not idempotent in the quotient" % e_class)
     return reduce(lambda s, e: table.op[s][e], candidates)
@@ -265,10 +282,10 @@ def congruences(table):
     is a congruence iff x ~ y implies u ~ v for every quadruple with
     (u, v) = (ax, ay) or (xa, ya).  Each quadruple is checked as soon as
     the largest of its four elements is labeled, and a broken one cuts the
-    branch, so the leaves are exactly the congruences.  Each leaf is built
-    with `Congruence._trusted`: its classes, in label order, are already
-    ordered by least member, and the labels are its `class_of`.  Guarded to
-    order <= MAX_CONGRUENCE_ORDER.
+    branch, so the leaves are exactly the congruences.  Each leaf's labels
+    are already the `class_of` a congruence stores, so it is built with
+    `Congruence._trusted` from them alone.  Guarded to order <=
+    MAX_CONGRUENCE_ORDER.
 
     A generator: the guard and the whole search run at the first `next()`,
     which collects every leaf by a plain recursion rather than through a
@@ -278,25 +295,27 @@ def congruences(table):
     if n > MAX_CONGRUENCE_ORDER:
         raise PreconditionError(
             "congruence enumeration is limited to order <= %d" % MAX_CONGRUENCE_ORDER)
+    # (ax, ay) is row a at x and y, (xa, ya) column a; a table equal to its
+    # transpose gives the same pairs twice, so only its rows are read
     op = table.op
+    columns = tuple(zip(*op))
+    sides = (op,) if columns == op else (op, columns)
     due = [set() for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
-            for a in range(n):
-                for u, v in ((op[a][x], op[a][y]), (op[x][a], op[y][a])):
+            for side in sides:
+                for row in side:
+                    u, v = row[x], row[y]
                     if u != v:
-                        u, v = min(u, v), max(u, v)
+                        if u > v:
+                            u, v = v, u
                         due[max(y, v)].add((x, y, u, v))
     label = [0] * n
     leaves = []
 
     def extend(i, top):
         if i == n:
-            classes = [[] for _ in range(top + 1)]
-            for x, c in enumerate(label):
-                classes[c].append(x)
-            leaves.append(Congruence._trusted(tuple(map(frozenset, classes)),
-                                              tuple(label)))
+            leaves.append(Congruence._trusted(tuple(label)))
             return
         checks = due[i]
         for c in range(top + 2):

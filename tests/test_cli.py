@@ -492,6 +492,9 @@ class TestCommands:
         ("--pairs", "1-2", "pairs look like a=b, got '1-2'"),
         ("--pairs", "a=b", "pair members must be integers: 'a=b'"),
         ("--ideal", "x", "ideal elements must be integers: 'x'"),
+        # int() alone would read these as 1; table files refuse them too
+        ("--pairs", "+1=2", "pair members must be integers: '+1=2'"),
+        ("--ideal", "\u0661,2", "ideal elements must be integers: '\u0661,2'"),
     ])
     def test_quotient_malformed_option_exits_two(self, option, value, message,
                                                  l3_file, capsys):
@@ -558,6 +561,22 @@ class TestCommands:
         assert capsys.readouterr() == (
             "", "error: --max-order must be in 1..5\n")
         assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--max-order", "\u0662"],
+        ["enumerate", "--order", "+2"],
+    ])
+    def test_order_options_read_only_ascii_decimals(self, argv, monkeypatch,
+                                                    capsys):
+        calls = []
+        monkeypatch.setattr(cli, "lemma_suite", lambda *a: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert err.endswith("error: argument %s: invalid int value: %r\n"
+                            % (argv[1], argv[2]))
 
     def test_suite_failure_writes_replay_files(self, collapsed_projections,
                                               tmp_path, capsys):

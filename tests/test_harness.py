@@ -1,6 +1,6 @@
 import pytest
 
-from sgclass import _kernel, harness
+from sgclass import _kernel, cli, harness
 from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import (CayleyTable, PreconditionError, chain_table,
                           cyclic_table, taimanov_table, validate)
@@ -167,10 +167,34 @@ class TestLemmaSuite:
             congruence_count += len(congs)
             calls.update(h_classes=0, idempotents=0, pi_map=0)
             assert lemma_suite(table).ok
-            assert calls == {"h_classes": 1 + len(quotients),
-                             "idempotents": 1 + len(quotients), "pi_map": 1}
+            # the table is its own quotient by the identity congruence
+            assert table.op in quotients
+            assert calls == {"h_classes": len(quotients),
+                             "idempotents": len(quotients), "pi_map": 1}
         assert distinct == {1: 1, 2: 6, 3: 40, 4: 310, 5: 2805}
         assert congruence_count == 4549
+
+    def test_each_fact_once_per_distinct_table_in_a_suite_run(
+            self, corpus5, monkeypatch, capsys):
+        # the tables and all their quotients, orders 1..5
+        distinct = {harness._quotient(table, cong)[0].op
+                    for table in corpus5
+                    for cong in harness.congruences(table)}
+        assert len(distinct) == 446
+        calls = {"h_classes": 0, "idempotents": 0}
+        for name in calls:
+            def counted(table, real=getattr(harness, name), name=name):
+                calls[name] += 1
+                return real(table)
+            monkeypatch.setattr(harness, name, counted)
+        runs = []
+        for _ in range(2):
+            calls.update(h_classes=0, idempotents=0)
+            assert cli.main(["suite", "--max-order", "5"]) == 0
+            runs.append(dict(calls))
+        capsys.readouterr()
+        # nothing is kept from one run to the next
+        assert runs == [{"h_classes": 446, "idempotents": 446}] * 2
 
     def test_refuses_tables_past_the_congruence_order_before_any_check(
             self, monkeypatch):
@@ -182,6 +206,26 @@ class TestLemmaSuite:
                            match=r"limited to order <= 6"):
             lemma_suite(cyclic_table(7))
         assert ran == []
+
+
+@pytest.fixture(scope="module")
+def classes6():
+    return [harness._unflatten(flat, 6)
+            for flat in commutative_tables(6, lex_least=True)]
+
+
+class TestOrderSix:
+    def test_congruence_total(self, classes6):
+        assert len(classes6) == 2143
+        assert sum(1 for t in classes6 for _ in harness.congruences(t)) == 51993
+
+    def test_every_class_passes_with_one_shared_memo(self, classes6):
+        known = {}
+        failing = [i for i, t in enumerate(classes6)
+                   if not lemma_suite(t, known).ok]
+        assert failing == []
+        # the distinct tables among the classes and all their quotients
+        assert len(known) == 3132
 
 
 class TestSuiteFailurePath:
