@@ -12,19 +12,17 @@ from .core import (CayleyTable, MalformedTableError, MonogenicData,
                    adjoin_zero, antichain_zero_table, center, chain_table,
                    clifford_part, cyclic_table, group_exponent, h_class,
                    h_classes, idempotents, max_chain_length, monogenic_data,
-                   natural_le, null_table, pi_map, product_table, relabel,
-                   restrict, root_inf, taimanov_table, validate, z_sets)
+                   natural_le, null_table, pi_map, product_table, restrict,
+                   root_inf, taimanov_table, validate, z_sets)
 from .descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Descriptor,
                           Factor, FinitePoset, FiniteTable, Group, GroupSpec,
                           Null, OmegaAntichainZero, OmegaChain,
                           PredicateProfile, Product, Semilattice, Taimanov,
-                          cardinality, describe, evaluate, truncate)
+                          describe, evaluate, truncate)
 from .harness import (SuiteReport, enumerate_commutative, kernel_backend,
-                      lemma_suite, singleton_square_scan)
-from .power import PowerSemigroup, basic_open, power_semigroup, subset_product
+                      lemma_suite)
+from .power import PowerSemigroup, power_semigroup
 from .quotients import (Congruence, congruence_closure, congruences,
-                        generated_ideal, is_congruence, is_ideal,
-                        lift_idempotent, quotient_by_congruence,
-                        rees_congruence, rees_quotient)
+                        lift_idempotent, quotient_by_congruence, rees_quotient)
 
 __version__ = "0.1.0"

@@ -374,22 +374,6 @@ def adjoin_identity(table: CayleyTable) -> CayleyTable:
     return CayleyTable(rows)
 
 
-def relabel(table: CayleyTable, perm) -> CayleyTable:
-    """Apply a permutation of the element indices."""
-    n = table.n
-    perm = tuple(perm)
-    for p in perm:
-        _check_element(table, p, "relabeling entry")
-    if len(perm) != n or len(set(perm)) != n:
-        raise PreconditionError("relabeling %r is not a permutation of range(%d)"
-                                % (perm, n))
-    inv = [0] * n
-    for a, b in enumerate(perm):
-        inv[b] = a
-    return CayleyTable([[perm[table.op[inv[i]][inv[j]]] for j in range(n)]
-                        for i in range(n)])
-
-
 def restrict(table: CayleyTable, subset) -> tuple:
     """Subtable on a product-closed subset, with the index embedding.
 

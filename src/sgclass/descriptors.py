@@ -41,6 +41,11 @@ MAX_PRIME = 10 ** 12
 FACTOR_KINDS = ("cyclic", "prufer", "integers", "cyclic-tower")
 
 
+def _positive_int(v) -> bool:
+    # bool is a subclass of int, but True is not an order or a count
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def is_prime(p) -> bool:
     if not isinstance(p, int) or p < 2:
         return False
@@ -65,7 +70,7 @@ class Factor:
         if self.kind not in FACTOR_KINDS:
             raise ValueError("unknown group factor kind %r" % (self.kind,))
         if self.kind == "cyclic":
-            if not isinstance(self.param, int) or self.param < 1:
+            if not _positive_int(self.param):
                 raise ValueError("cyclic order must be a positive integer")
         elif self.kind == "integers":
             if self.param is not None:
@@ -74,7 +79,7 @@ class Factor:
             raise ValueError("prime parameters are limited to 10^12")
         elif not is_prime(self.param):
             raise ValueError("%r is not prime" % (self.param,))
-        if self.mult != OMEGA and (not isinstance(self.mult, int) or self.mult < 1):
+        if self.mult != OMEGA and not _positive_int(self.mult):
             raise ValueError("multiplicity must be a positive integer or omega")
 
     def text(self) -> str:
@@ -736,11 +741,6 @@ def _descriptor(d):
     return d
 
 
-def cardinality(d) -> Optional[int]:
-    """Element count, or None for countably infinite."""
-    return _descriptor(d).profile().size
-
-
 def evaluate(d) -> PredicateProfile:
     """Predicate profile of the semigroup a descriptor denotes.
 
@@ -762,7 +762,7 @@ def truncate(d, size_budget) -> CayleyTable:
     Each constructor class holds its rule as its `truncate` method.  Never
     fails: the single-idempotent table is always available.
     """
-    if not isinstance(size_budget, int) or size_budget < 1:
+    if not _positive_int(size_budget):
         raise ValueError("size budget must be a positive integer")
     return _descriptor(d).truncate(size_budget)
 
@@ -771,6 +771,6 @@ __all__ = [
     "OMEGA", "AdjoinIdentity", "AdjoinZero", "Descriptor", "Factor",
     "FinitePoset", "FiniteTable", "Group", "GroupSpec", "Null", "OmegaChain",
     "OmegaAntichainZero", "PredicateProfile", "Product", "Semilattice",
-    "SemilatticeSpec", "Taimanov", "cardinality", "describe", "evaluate",
-    "is_prime", "truncate",
+    "SemilatticeSpec", "Taimanov", "describe", "evaluate", "is_prime",
+    "truncate",
 ]

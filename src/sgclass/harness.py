@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import _kernel
-from .core import (CayleyTable, _max_clique, _z_sets, center, h_classes,
-                   idempotents, pi_map, root_inf)
+from .core import (CayleyTable, _z_sets, center, h_classes, idempotents,
+                   pi_map, root_inf)
 from .quotients import _lift_idempotent, _quotient, congruences
 
 MAX_ENUM_ORDER = 5
@@ -213,32 +213,7 @@ def lemma_suite(table, known=None) -> SuiteReport:
     return SuiteReport(table, tuple(results))
 
 
-def singleton_square_scan(table, max_subset=None) -> Optional[frozenset]:
-    """A largest subset A (capped at max_subset) with |A| >= 2 and AA a
-    singleton, or None.
-
-    For each target s this is a maximum-clique search over the elements
-    squaring to s, with adjacency "product equals s".  The witness is the
-    lexicographically least largest clique for the least s that has one,
-    cut to its first max_subset members.
-    """
-    n = table.n
-    op = table.op
-    cap = n if max_subset is None else max_subset
-    best = ()
-    for s in range(n):
-        verts = [a for a in range(n) if op[a][a] == s]
-        if len(verts) > len(best):
-            adj = {a: sum(1 << b for b in verts
-                          if b > a and op[a][b] == s == op[b][a])
-                   for a in verts}
-            best = _max_clique(sum(1 << a for a in verts), adj, best)
-    if len(best) < 2 or cap < 2:
-        return None
-    return frozenset(best[:cap])
-
-
 __all__ = [
     "CheckResult", "SuiteReport", "enumerate_commutative", "kernel_backend",
-    "lemma_suite", "singleton_square_scan",
+    "lemma_suite",
 ]

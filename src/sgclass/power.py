@@ -35,16 +35,6 @@ def _subset_of(mask):
     return frozenset(out)
 
 
-def subset_product(table, u, v) -> frozenset:
-    """Elementwise product of two nonempty subsets."""
-    u = _check_subset(table, u)
-    v = _check_subset(table, v)
-    if not u or not v:
-        raise PreconditionError("subset product needs nonempty operands")
-    op = table.op
-    return frozenset(op[a][b] for a in u for b in v)
-
-
 class PowerSemigroup:
     """All nonempty subsets of a base table under the elementwise product."""
 
@@ -110,22 +100,4 @@ def power_semigroup(base) -> PowerSemigroup:
     return PowerSemigroup(base, elements, CayleyTable._trusted(rows))
 
 
-def basic_open(table, u) -> list:
-    """All nonempty subsets of u, in increasing bitmask order.
-
-    These are exactly the filters containing u, i.e. the members of the
-    basic open set determined by u.
-    """
-    u = _check_subset(table, u)
-    if not u:
-        raise PreconditionError("basic open sets are indexed by nonempty subsets")
-    mask = _mask_of(u)
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return [_subset_of(m) for m in sorted(out)]
-
-
-__all__ = ["PowerSemigroup", "basic_open", "power_semigroup", "subset_product"]
+__all__ = ["PowerSemigroup", "power_semigroup"]

@@ -1,15 +1,26 @@
-"""Independent oracles that only the tests use.
+"""Independent oracles and reference implementations that only the tests use.
 
 `enumerate_commutative_naive` and `iso_class_count` check the enumeration
 kernel without sharing any of its code; `group_closed` and
 `semilattice_closed` read the closedness of a group or semilattice straight
 from its spec, without the predicate profile `classify` goes through.
+
+The reference implementations the tests compare the package against:
+`relabel` (a permutation of the element indices, which `iso_class_count`
+also uses), `generated_ideal` and `rees_congruence` (ideals and the Rees
+congruence, as partitions `quotient_by_congruence` accepts),
+`subset_product` (one cell of the power semigroup, computed directly) and
+`singleton_square_scan` (a largest A with AA a singleton, for the
+truncation rules of the singleton-square condition).
 """
 
 from itertools import permutations, product
+from typing import Optional
 
-from sgclass.core import CayleyTable, relabel, validate
+from sgclass.core import (CayleyTable, PreconditionError, _check_element,
+                          _check_subset, _max_clique, validate)
 from sgclass.descriptors import OmegaChain
+from sgclass.quotients import Congruence, _check_ideal
 
 MAX_NAIVE_ORDER = 3
 
@@ -46,3 +57,78 @@ def group_closed(spec):
 def semilattice_closed(spec):
     """Corollary 5.2: a semilattice is closed in every sense iff chain-finite."""
     return not isinstance(spec, OmegaChain)
+
+
+def relabel(table: CayleyTable, perm) -> CayleyTable:
+    """Apply a permutation of the element indices."""
+    n = table.n
+    perm = tuple(perm)
+    for p in perm:
+        _check_element(table, p, "relabeling entry")
+    if len(perm) != n or len(set(perm)) != n:
+        raise PreconditionError("relabeling %r is not a permutation of range(%d)"
+                                % (perm, n))
+    inv = [0] * n
+    for a, b in enumerate(perm):
+        inv[b] = a
+    return CayleyTable([[perm[table.op[inv[i]][inv[j]]] for j in range(n)]
+                        for i in range(n)])
+
+
+def generated_ideal(table, seed) -> frozenset:
+    """Least ideal containing the seed: close under left/right products."""
+    op = table.op
+    ideal = set(_check_subset(table, seed))
+    work = sorted(ideal)
+    while work:
+        a = work.pop()
+        for x in range(table.n):
+            for v in (op[a][x], op[x][a]):
+                if v not in ideal:
+                    ideal.add(v)
+                    work.append(v)
+    return frozenset(ideal)
+
+
+def rees_congruence(table, ideal) -> Congruence:
+    """The congruence collapsing an ideal to a point."""
+    ideal = _check_ideal(table, ideal)
+    if not ideal:
+        return Congruence([(x,) for x in range(table.n)])
+    classes = [ideal] + [(x,) for x in range(table.n) if x not in ideal]
+    return Congruence(classes)
+
+
+def subset_product(table, u, v) -> frozenset:
+    """Elementwise product of two nonempty subsets."""
+    u = _check_subset(table, u)
+    v = _check_subset(table, v)
+    if not u or not v:
+        raise PreconditionError("subset product needs nonempty operands")
+    op = table.op
+    return frozenset(op[a][b] for a in u for b in v)
+
+
+def singleton_square_scan(table, max_subset=None) -> Optional[frozenset]:
+    """A largest subset A (capped at max_subset) with |A| >= 2 and AA a
+    singleton, or None.
+
+    For each target s this is a maximum-clique search over the elements
+    squaring to s, with adjacency "product equals s".  The witness is the
+    lexicographically least largest clique for the least s that has one,
+    cut to its first max_subset members.
+    """
+    n = table.n
+    op = table.op
+    cap = n if max_subset is None else max_subset
+    best = ()
+    for s in range(n):
+        verts = [a for a in range(n) if op[a][a] == s]
+        if len(verts) > len(best):
+            adj = {a: sum(1 << b for b in verts
+                          if b > a and op[a][b] == s == op[b][a])
+                   for a in verts}
+            best = _max_clique(sum(1 << a for a in verts), adj, best)
+    if len(best) < 2 or cap < 2:
+        return None
+    return frozenset(best[:cap])

@@ -13,13 +13,13 @@ from sgclass.descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Factor,
                                  FinitePoset, FiniteTable, Group, GroupSpec,
                                  Null, OmegaAntichainZero, OmegaChain,
                                  Product, Semilattice, Taimanov, truncate)
-from sgclass.harness import (enumerate_commutative, lemma_suite,
-                             singleton_square_scan)
+from sgclass.harness import enumerate_commutative, lemma_suite
 from sgclass.power import power_semigroup
 from sgclass.quotients import rees_quotient
 
 from oracles import (enumerate_commutative_naive, group_closed,
-                     iso_class_count, semilattice_closed)
+                     iso_class_count, semilattice_closed,
+                     singleton_square_scan)
 
 SEED = 20250810
 

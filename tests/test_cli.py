@@ -682,6 +682,15 @@ def run_sgclass(*argv, **kwargs):
                           env=dict(os.environ, PYTHONPATH=src), **kwargs)
 
 
+class TestStandsAlone:
+    def test_runs_with_only_src_on_its_path(self, tmp_path):
+        # from an empty directory, so neither tests/ nor the checkout's
+        # root can be imported
+        for argv in (["suite", "--max-order", "4"], ["classify", "(null)"]):
+            run = run_sgclass(*argv, cwd=tmp_path)
+            assert run.returncode == 0, run.stderr
+
+
 def _cap_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

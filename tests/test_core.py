@@ -6,9 +6,11 @@ from sgclass import (CayleyTable, MalformedTableError, PreconditionError,
                      adjoin_identity, adjoin_zero, center, chain_table,
                      clifford_part, cyclic_table, group_exponent, h_class,
                      h_classes, idempotents, max_chain_length, monogenic_data,
-                     natural_le, null_table, pi_map, product_table, relabel,
-                     restrict, root_inf, taimanov_table, validate, z_sets)
+                     natural_le, null_table, pi_map, product_table, restrict,
+                     root_inf, taimanov_table, validate, z_sets)
 from sgclass.core import _z_sets
+
+from oracles import relabel
 
 
 def brute_force_max_chain(table):

@@ -4,16 +4,17 @@ from hypothesis import strategies as st
 
 from sgclass import (CayleyTable, antichain_zero_table, chain_table,
                      cyclic_table, group_exponent, idempotents,
-                     max_chain_length, null_table, product_table, relabel,
+                     max_chain_length, null_table, product_table,
                      taimanov_table, validate)
 from sgclass.classify import classify
 from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
                                  Factor, FinitePoset, FiniteTable, Group,
                                  GroupSpec, Null, OmegaAntichainZero,
                                  OmegaChain, Product, Semilattice, Taimanov,
-                                 cardinality, describe, evaluate, is_prime,
+                                 describe, evaluate, is_prime,
                                  render_descriptor, truncate)
-from sgclass.harness import singleton_square_scan
+
+from oracles import relabel, singleton_square_scan
 
 
 def group_of(*factors):
@@ -89,6 +90,11 @@ class TestValidation:
         (("cyclic", 0), "cyclic order must be a positive integer"),
         (("integers", 3), "integers takes no parameter"),
         (("cyclic", 2, 0), "multiplicity must be a positive integer or omega"),
+        # bool is a subclass of int, but not an order or a multiplicity
+        (("cyclic", True), "cyclic order must be a positive integer"),
+        (("cyclic", True, True), "cyclic order must be a positive integer"),
+        (("cyclic", 2, True), "multiplicity must be a positive integer or omega"),
+        (("prufer", 3, True), "multiplicity must be a positive integer or omega"),
     ])
     def test_factor_refusals(self, args, message):
         with pytest.raises(ValueError) as exc:
@@ -139,8 +145,8 @@ class TestNotADescriptor:
     @pytest.mark.parametrize("x", [3, CayleyTable([[0]]), OmegaChain()],
                              ids=["int", "table", "spec"])
     @pytest.mark.parametrize("call", [
-        evaluate, cardinality, describe, lambda x: truncate(x, 4), classify],
-        ids=["evaluate", "cardinality", "describe", "truncate", "classify"])
+        evaluate, describe, lambda x: truncate(x, 4), classify],
+        ids=["evaluate", "describe", "truncate", "classify"])
     def test_raises_type_error(self, call, x):
         with pytest.raises(TypeError, match="not a descriptor"):
             call(x)
@@ -148,24 +154,24 @@ class TestNotADescriptor:
 
 class TestCardinality:
     def test_finite_table(self, l3):
-        assert cardinality(FiniteTable(l3)) == 3
+        assert FiniteTable(l3).profile().size == 3
 
     def test_product_with_integers(self, z3):
         d = Product(FiniteTable(z3), group_of(Factor("integers")))
-        assert cardinality(d) is None
+        assert d.profile().size is None
 
     def test_omega_multiplicity(self):
-        assert cardinality(group_of(Factor("cyclic", 2, OMEGA))) is None
+        assert group_of(Factor("cyclic", 2, OMEGA)).profile().size is None
 
     def test_trivial_factor_omega_is_finite(self):
-        assert cardinality(group_of(Factor("cyclic", 1, OMEGA))) == 1
+        assert group_of(Factor("cyclic", 1, OMEGA)).profile().size == 1
 
     def test_finite_group(self):
-        assert cardinality(group_of(Factor("cyclic", 4, 2),
-                                    Factor("cyclic", 3))) == 48
+        assert group_of(Factor("cyclic", 4, 2),
+                        Factor("cyclic", 3)).profile().size == 48
 
     def test_adjoin_counts(self, l3):
-        assert cardinality(AdjoinZero(FiniteTable(l3))) == 4
+        assert AdjoinZero(FiniteTable(l3)).profile().size == 4
 
 
 class TestEvaluate:
@@ -323,6 +329,11 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(Null(), 0)
 
+    def test_rejects_a_bool_budget(self):
+        with pytest.raises(ValueError,
+                           match="^size budget must be a positive integer$"):
+            truncate(Null(), True)
+
     @settings(max_examples=100)
     @given(descriptor_st, st.integers(1, 8))
     def test_truncations_are_commutative_semigroups(self, d, budget):
@@ -366,7 +377,7 @@ class TestProfileTruncationConsistency:
         ]
         for factors in specs:
             d = group_of(*factors)
-            size = cardinality(d)
+            size = d.profile().size
             table = truncate(d, size)
             assert table.n == size
             p = evaluate(d)

@@ -3,12 +3,12 @@ import pytest
 from sgclass import _kernel, cli, harness
 from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import (CayleyTable, PreconditionError, chain_table,
-                          cyclic_table, taimanov_table, validate)
-from sgclass.harness import (CheckResult, enumerate_commutative,
-                             lemma_suite, singleton_square_scan)
+                          cyclic_table, pi_map, taimanov_table, validate)
+from sgclass.harness import CheckResult, enumerate_commutative, lemma_suite
 from sgclass.quotients import rees_quotient
 
-from oracles import enumerate_commutative_naive, iso_class_count
+from oracles import (enumerate_commutative_naive, iso_class_count,
+                     singleton_square_scan)
 
 
 class TestEnumerator:
@@ -208,6 +208,50 @@ class TestLemmaSuite:
         assert ran == []
 
 
+def semilattice_congruence_mismatch(table):
+    """None when exactly one of the congruences whose quotient is a band
+    refines all the others and its classes are the fibres of `pi_map`;
+    else what differs.
+
+    A finite commutative semigroup's least semilattice congruence has its
+    archimedean components as classes (Tamura), and x lies in the component
+    of the idempotent among its powers.  The congruence search and `pi_map`
+    share no code, so each checks the other.
+    """
+    op = table.op
+    bands = [c.class_of for c in harness.congruences(table)
+             if all(c.class_of[op[x][x]] == c.class_of[x]
+                    for x in table.elements)]
+
+    def refines(a, b):
+        return len(set(zip(a, b))) == len(set(a))
+
+    least = [a for a in bands if all(refines(a, b) for b in bands)]
+    if len(least) != 1:
+        return "%d band congruences refine all the others" % len(least)
+    classes, fibres = blocks(least[0]), blocks(pi_map(table))
+    if classes != fibres:
+        return "classes %s, pi_map fibres %s" % (classes, fibres)
+    return None
+
+
+def blocks(labels):
+    """The fibres of a map given as a tuple of labels: ascending lists,
+    sorted."""
+    fibres = {}
+    for x, label in enumerate(labels):
+        fibres.setdefault(label, []).append(x)
+    return sorted(fibres.values())
+
+
+class TestLeastSemilatticeCongruence:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_is_unique_and_has_the_pi_map_fibres(self, corpus5, order):
+        tables = [t for t in corpus5 if t.n == order]
+        assert [semilattice_congruence_mismatch(t) for t in tables] == \
+            [None] * len(tables)
+
+
 @pytest.fixture(scope="module")
 def classes6():
     return [harness._unflatten(flat, 6)
@@ -226,6 +270,11 @@ class TestOrderSix:
         assert failing == []
         # the distinct tables among the classes and all their quotients
         assert len(known) == 3132
+
+    def test_least_semilattice_congruence_is_unique_with_pi_map_fibres(
+            self, classes6):
+        assert [i for i, t in enumerate(classes6)
+                if semilattice_congruence_mismatch(t) is not None] == []
 
 
 class TestSuiteFailurePath:

@@ -1,16 +1,31 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgclass import (CayleyTable, PreconditionError, chain_table,
                      cyclic_table, null_table, product_table, validate)
-from sgclass.power import (MAX_BASE_ORDER, basic_open, power_semigroup,
-                           subset_product)
+from sgclass.power import MAX_BASE_ORDER, power_semigroup
+
+from oracles import subset_product
 
 
-def subsets_of(n):
-    return [frozenset(b for b in range(n) if (m >> b) & 1)
-            for m in range(1, 1 << n)]
+def left_zero_table(n):
+    # xy = x: associative, and not commutative once n >= 2
+    return CayleyTable([[x] * n for x in range(n)])
+
+
+def assert_continuity(table, ps, i, j, k, m):
+    """Subsets k of U = elements[i] and m of V = elements[j] multiply into
+    UV, and so does each product xy of x in k and y in m, read in the base:
+    the law for the members of the basic open sets of U and V."""
+    op = ps.table.op
+    uv = ps.elements[op[i][j]]
+    b1b2 = ps.elements[op[k][m]]
+    assert b1b2 <= uv
+    assert all(table.op[x][y] in b1b2
+               for x in ps.elements[k] for y in ps.elements[m])
 
 
 class TestSubsetProduct:
@@ -96,46 +111,34 @@ class TestPowerSemigroup:
                         == ps.singleton_index(table.op[x][y])
 
 
-class TestBasicOpen:
-    def test_pair(self, l3):
-        assert basic_open(l3, {0, 1}) == \
-            [frozenset({0}), frozenset({1}), frozenset({0, 1})]
-
-    def test_singleton_is_isolated(self, l3):
-        assert basic_open(l3, {2}) == [frozenset({2})]
-
-    def test_full_set(self, l3):
-        assert len(basic_open(l3, {0, 1, 2})) == 7
-
-    def test_rejects_empty(self, l3):
-        with pytest.raises(PreconditionError):
-            basic_open(l3, frozenset())
-
-
 class TestContinuityLaw:
-    def test_exhaustive_small(self, corpus3):
-        # members of the basic sets of U and V multiply into the basic set
-        # of UV
-        for table in corpus3:
-            for u in subsets_of(table.n):
-                for v in subsets_of(table.n):
-                    uv = subset_product(table, u, v)
-                    for b1 in basic_open(table, u):
-                        for b2 in basic_open(table, v):
-                            assert subset_product(table, b1, b2) <= uv
+    def test_exhaustive_small(self, associative3):
+        # every associative base of order <= 3, so a build that swaps the
+        # operands of U x V breaks the law on the non-commutative ones
+        for table in associative3:
+            ps = power_semigroup(table)
+            below = [[k for k, b in enumerate(ps.elements) if b <= u]
+                     for u in ps.elements]
+            for i, j in product(range(len(ps.elements)), repeat=2):
+                for k in below[i]:
+                    for m in below[j]:
+                        assert_continuity(table, ps, i, j, k, m)
 
     @settings(max_examples=80)
     @given(st.data())
     def test_sampled_order_4_and_5(self, corpus5, data):
-        table = data.draw(st.sampled_from([t for t in corpus5 if t.n >= 4]))
-        n = table.n
-        mask = st.integers(1, (1 << n) - 1)
-        u = data.draw(mask)
-        v = data.draw(mask)
-        to_set = lambda m: frozenset(b for b in range(n) if (m >> b) & 1)
+        lz2 = left_zero_table(2)
+        noncommutative = [left_zero_table(4), left_zero_table(5),
+                          product_table(lz2, cyclic_table(2)),
+                          product_table(chain_table(2), lz2)]
+        pool = data.draw(st.sampled_from(
+            [noncommutative, [t for t in corpus5 if t.n >= 4]]))
+        table = data.draw(st.sampled_from(pool))
+        ps = power_semigroup(table)
+        mask = st.integers(1, (1 << table.n) - 1)
         b1 = data.draw(mask)
         b2 = data.draw(mask)
-        u |= b1  # force b1 <= u, b2 <= v
-        v |= b2
-        uv = subset_product(table, to_set(u), to_set(v))
-        assert subset_product(table, to_set(b1), to_set(b2)) <= uv
+        u = data.draw(mask) | b1  # force b1 <= u, b2 <= v
+        v = data.draw(mask) | b2
+        # index i holds the subset with mask i + 1
+        assert_continuity(table, ps, u - 1, v - 1, b1 - 1, b2 - 1)

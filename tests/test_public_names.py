@@ -38,8 +38,6 @@ PUBLIC_NAMES = [
     "adjoin_identity",
     "adjoin_zero",
     "antichain_zero_table",
-    "basic_open",
-    "cardinality",
     "center",
     "chain_table",
     "classify",
@@ -51,13 +49,10 @@ PUBLIC_NAMES = [
     "enumerate_commutative",
     "evaluate",
     "explain",
-    "generated_ideal",
     "group_exponent",
     "h_class",
     "h_classes",
     "idempotents",
-    "is_congruence",
-    "is_ideal",
     "kernel_backend",
     "lemma_suite",
     "lift_idempotent",
@@ -69,13 +64,9 @@ PUBLIC_NAMES = [
     "power_semigroup",
     "product_table",
     "quotient_by_congruence",
-    "rees_congruence",
     "rees_quotient",
-    "relabel",
     "restrict",
     "root_inf",
-    "singleton_square_scan",
-    "subset_product",
     "taimanov_table",
     "truncate",
     "validate",

@@ -10,10 +10,10 @@ from sgclass import (CayleyTable, PreconditionError, chain_table,
 from sgclass._kernel import canonical_form
 from sgclass.quotients import (Congruence, congruence_closure,
                                congruence_violation, congruences,
-                               generated_ideal, ideal_violation,
-                               is_congruence, is_ideal,
-                               lift_idempotent, quotient_by_congruence,
-                               rees_congruence, rees_quotient)
+                               ideal_violation, lift_idempotent,
+                               quotient_by_congruence, rees_quotient)
+
+from oracles import generated_ideal, rees_congruence
 
 
 def _restricted_growth_strings(n):
@@ -38,20 +38,20 @@ def bell_filter_congruences(table):
         for x, c in enumerate(rgs):
             groups.setdefault(c, []).append(x)
         cong = Congruence(groups.values())
-        if is_congruence(table, cong):
+        if congruence_violation(table, cong) is None:
             yield cong
 
 
 class TestIsIdeal:
     def test_taimanov_special_pair(self, t5):
-        assert is_ideal(t5, {0, 1})
+        assert ideal_violation(t5, {0, 1}) is None
 
     def test_chain_top_is_not(self, l3):
-        assert not is_ideal(l3, {2})
+        assert ideal_violation(l3, {2}) is not None
 
     def test_empty_set(self, z3, l3, t5):
         for table in (z3, l3, t5):
-            assert is_ideal(table, frozenset())
+            assert ideal_violation(table, frozenset()) is None
 
 
 class TestGeneratedIdeal:
@@ -72,19 +72,18 @@ class TestGeneratedIdeal:
         for table in corpus3:
             for x in table.elements:
                 ideal = generated_ideal(table, {x})
-                assert is_ideal(table, ideal)
+                assert ideal_violation(table, ideal) is None
                 # least: drop any non-seed element and absorption breaks
                 for y in sorted(ideal - {x}):
-                    assert not is_ideal(table, ideal - {y})
+                    assert ideal_violation(table, ideal - {y}) is not None
 
 
 class TestNonElements:
     # a negative index would wrap round and a large one raise IndexError
 
     @pytest.mark.parametrize("subset", [{0, -1}, {-1}, {5}, {0, 3}, {True}])
-    @pytest.mark.parametrize("routine", [ideal_violation, is_ideal,
-                                         generated_ideal, rees_congruence,
-                                         rees_quotient])
+    @pytest.mark.parametrize("routine", [ideal_violation, generated_ideal,
+                                         rees_congruence, rees_quotient])
     def test_ideal_routines_refuse_them(self, routine, subset, n3):
         with pytest.raises(PreconditionError, match="out of range"):
             routine(n3, subset)
@@ -144,7 +143,7 @@ class TestCongruenceClosure:
         assert congruence_closure(l3, [(0, 2)]) == Congruence([(0, 1, 2)])
 
     def test_empty_gives_identity(self, z4):
-        assert congruence_closure(z4, []) == Congruence.identity(4)
+        assert congruence_closure(z4, []) == Congruence([(x,) for x in range(4)])
 
     @settings(max_examples=60)
     @given(st.data())
@@ -157,7 +156,7 @@ class TestCongruenceClosure:
             for _ in range(k)
         ]
         closure = congruence_closure(table, pairs)
-        assert is_congruence(table, closure)
+        assert congruence_violation(table, closure) is None
         cf = closure.class_of
         assert all(cf[x] == cf[y] for x, y in pairs)
         # least: every congruence containing the pairs is coarser
@@ -223,7 +222,7 @@ class TestQuotientByCongruence:
             congruence_violation(cyclic_table(3), Congruence([[0], [1]]))
 
     def test_rees_congruence_of_the_empty_ideal_is_the_identity(self, t5):
-        assert rees_congruence(t5, set()) == Congruence.identity(5)
+        assert rees_congruence(t5, set()) == Congruence([(x,) for x in range(5)])
 
     def test_rejects_incompatible_partition(self, l3):
         bad = Congruence([(0, 2), (1,)])
@@ -259,7 +258,7 @@ class TestLiftIdempotent:
 
     def test_rejects_noncommutative_table(self, lz2):
         with pytest.raises(PreconditionError, match="commutative table"):
-            lift_idempotent(lz2, Congruence.identity(2), 0)
+            lift_idempotent(lz2, Congruence([(0,), (1,)]), 0)
 
     def test_subgroup_image_exhaustive(self, corpus4):
         # the subgroup at the lifted idempotent projects onto the subgroup
@@ -308,7 +307,7 @@ class TestReesComposition:
                     j = generated_ideal(table, seed_j)
                     once, proj1 = rees_quotient(table, i)
                     image = {proj1[x] for x in j} | {0}
-                    assert is_ideal(once, image)
+                    assert ideal_violation(once, image) is None
                     twice, _ = rees_quotient(once, image)
                     direct, _ = rees_quotient(table, i | j)
                     flat = lambda t: tuple(v for row in t.op for v in row)
