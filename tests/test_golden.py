@@ -190,6 +190,13 @@ JSON_DIGESTS = {
     "suite 3": (
         ["suite", "--max-order", "3", "--json"], 0,
         "299fb2c951de80444189fc66f55c87b1606e8e7022c0129de81e1cd3fd3a13b7"),
+    # the exhaustive frontier: every class of order 5, labeled and checked
+    "enumerate 5": (
+        ["enumerate", "--order", "5", "--json"], 0,
+        "e33ccbf004cb65a655ad382132d84b9a0b2cf9fb8413f3c9ed45907dd90e02dc"),
+    "suite 5": (
+        ["suite", "--max-order", "5", "--json"], 0,
+        "af5547dd3011be603c018ae84be40eb48adfae16e2a2901c640d635f72817c19"),
     "validate associative text": (
         ["validate", "lz2_x_z3.tbl"], 0,
         "5e3d434f44e4c0e7843a4f86316a6d08925cc002f6ac851c66e827a3618975e3"),
@@ -214,6 +221,9 @@ JSON_DIGESTS = {
     "suite 3 text": (
         ["suite", "--max-order", "3"], 0,
         "902f2a3102584e55badbf412cd863a2debcda0a94290f35d64b38b64415109db"),
+    "suite 5 text": (
+        ["suite", "--max-order", "5"], 0,
+        "4b52afecbba60a5a6741a7489363255bd795b4d8bfb15da16d2bc9bbaa613b01"),
     "suite 2 failing text": (
         ["suite", "--max-order", "2", "--out", "replays"], 1,
         "2931113c253a23b586f4cb43777c148aad25b1d995069e863f9b1046480e3a53",
