@@ -15,10 +15,10 @@ from .core import (CayleyTable, MalformedTableError, MonogenicData,
                    natural_le, null_table, pi_map, product_table, restrict,
                    root_inf, taimanov_table, validate, z_sets)
 from .descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Descriptor,
-                          Factor, FinitePoset, FiniteTable, Group, GroupSpec,
-                          Null, OmegaAntichainZero, OmegaChain,
-                          PredicateProfile, Product, Semilattice, Taimanov,
-                          describe, evaluate, truncate)
+                          Factor, FinitePoset, FiniteTable, Group, Null,
+                          OmegaAntichainZero, OmegaChain, PredicateProfile,
+                          Product, Semilattice, Taimanov, describe, evaluate,
+                          truncate)
 from .harness import (SuiteReport, enumerate_commutative, kernel_backend,
                       lemma_suite)
 from .power import PowerSemigroup, power_semigroup

@@ -24,6 +24,11 @@ class PreconditionError(ValueError):
     """An operation was called outside its contract."""
 
 
+def _positive_int(v) -> bool:
+    # bool is a subclass of int, but True is not an order or a count
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 class CayleyTable:
     """An n-by-n operation table over element indices 0..n-1.
 
@@ -292,7 +297,7 @@ def z_sets(table, e, n_max) -> list:
     """Central elements whose k-th power lies in the maximal subgroup at e,
     for k = 1..n_max.  The returned sequence is ascending."""
     _check_idempotent(table, e)
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _positive_int(n_max):
         raise PreconditionError("n_max must be a positive integer")
     return _z_sets(table, h_classes(table)[e], sorted(center(table)), n_max)
 
@@ -319,29 +324,40 @@ def group_exponent(table, e) -> int:
 
 # -- table builders ----------------------------------------------------------
 
+def _check_order(m):
+    if not _positive_int(m):
+        raise PreconditionError("order must be a positive integer, got %r"
+                                % (m,))
+
+
 def cyclic_table(m) -> CayleyTable:
     """Z_m, written additively."""
+    _check_order(m)
     return CayleyTable([[(i + j) % m for j in range(m)] for i in range(m)])
 
 
 def chain_table(m) -> CayleyTable:
     """The m-element chain semilattice (min)."""
+    _check_order(m)
     return CayleyTable([[min(i, j) for j in range(m)] for i in range(m)])
 
 
 def null_table(m) -> CayleyTable:
     """All products equal 0."""
+    _check_order(m)
     return CayleyTable([[0] * m for _ in range(m)])
 
 
 def taimanov_table(m) -> CayleyTable:
     """Distinct elements >= 2 multiply to 1, everything else to 0."""
+    _check_order(m)
     return CayleyTable([[1 if i != j and i >= 2 and j >= 2 else 0
                          for j in range(m)] for i in range(m)])
 
 
 def antichain_zero_table(m) -> CayleyTable:
     """A bottom element 0 below m-1 pairwise incomparable idempotents."""
+    _check_order(m)
     return CayleyTable([[i if i == j and i > 0 else 0 for j in range(m)]
                         for i in range(m)])
 

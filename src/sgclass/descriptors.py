@@ -6,7 +6,13 @@ infinite null semigroup, direct products, and zero/identity adjunction.
 Each constructor class holds its rules: `profile()` gives the predicate
 profile the classifier consumes, from its children's profiles, and
 `truncate(budget)` a finite subsemigroup used to cross-check those rules.
-`evaluate` and `truncate` are the checked entry points.
+`evaluate` and `truncate` are the checked entry points.  Every node is a
+`Descriptor`; a group holds its factors and each semilattice is a subclass
+of `Semilattice`:
+
+    Product(Group((Factor("cyclic", 2),)), OmegaChain())
+
+is `(product (group (cyclic 2)) (semilattice chain-omega))`.
 
 Descriptor expressions (`parse_descriptor`, `render_descriptor`):
 
@@ -27,11 +33,11 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
-from .core import (CayleyTable, _decimal, adjoin_identity, adjoin_zero,
-                   antichain_zero_table, chain_table, clifford_part,
-                   cyclic_table, group_exponent, idempotents, monogenic_data,
-                   null_table, parse_table, product_table, restrict,
-                   taimanov_table, validate)
+from .core import (CayleyTable, _decimal, _positive_int, adjoin_identity,
+                   adjoin_zero, antichain_zero_table, chain_table,
+                   clifford_part, cyclic_table, group_exponent, idempotents,
+                   monogenic_data, null_table, parse_table, product_table,
+                   restrict, taimanov_table, validate)
 
 OMEGA = "omega"  # multiplicity marker: countably many copies, direct sum
 
@@ -39,11 +45,6 @@ OMEGA = "omega"  # multiplicity marker: countably many copies, direct sum
 MAX_PRIME = 10 ** 12
 
 FACTOR_KINDS = ("cyclic", "prufer", "integers", "cyclic-tower")
-
-
-def _positive_int(v) -> bool:
-    # bool is a subclass of int, but True is not an order or a count
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 def is_prime(p) -> bool:
@@ -90,19 +91,6 @@ class Factor:
         if self.mult == 1:
             return "(%s)" % body
         return "(%s x %s)" % (body, self.mult)
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A finite list of factors denoting their direct sum."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for f in self.factors:
-            if not isinstance(f, Factor):
-                raise ValueError("group factors must be Factor instances")
 
 
 class NotCommutativeError(ValueError):
@@ -154,51 +142,6 @@ def _factor_chunk(factor, room):
     while q * factor.param <= room:
         q *= factor.param
     return q
-
-
-class SemilatticeSpec:
-    """Base of the semilattice specs.  Each spec carries its `size` (None
-    for countably infinite), its `chain_finite` flag with the reason
-    `chain_finite_why`, and `truncate(budget)`, its initial segment."""
-
-
-@dataclass(frozen=True)
-class FinitePoset(SemilatticeSpec):
-    table: CayleyTable
-    path: Optional[str] = field(default=None, compare=False)
-
-    chain_finite = True
-    chain_finite_why = "finite semilattice"
-
-    def __post_init__(self):
-        _check_commutative(self.table, "poset table")
-        if len(idempotents(self.table)) != self.table.n:
-            bad = min(set(self.table.elements) - idempotents(self.table))
-            raise ValueError("poset table is not idempotent: element %d" % bad)
-        object.__setattr__(self, "size", self.table.n)
-
-    def truncate(self, budget):
-        return _truncate_table(self.table, budget)
-
-
-@dataclass(frozen=True)
-class OmegaChain(SemilatticeSpec):
-    """Order-isomorphic to the natural numbers under min."""
-
-    size = None
-    chain_finite = False
-    chain_finite_why = "chain-omega is itself an infinite chain"
-    truncate = staticmethod(chain_table)
-
-
-@dataclass(frozen=True)
-class OmegaAntichainZero(SemilatticeSpec):
-    """Infinitely many pairwise incomparable elements above one bottom."""
-
-    size = None
-    chain_finite = True
-    chain_finite_why = "antichain with zero: chains have at most 2 elements"
-    truncate = staticmethod(antichain_zero_table)
 
 
 # Deepest descriptor nesting accepted.  Parsing, evaluation and rendering
@@ -295,10 +238,19 @@ class FiniteTable(Descriptor):
 
 @dataclass(frozen=True)
 class Group(Descriptor):
-    spec: GroupSpec
+    """The direct sum of a finite tuple of factors."""
+
+    factors: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
+        for f in self.factors:
+            if not isinstance(f, Factor):
+                raise ValueError("group factors must be Factor instances")
+        super().__post_init__()
 
     def profile(self):
-        factors = self.spec.factors
+        factors = self.factors
         size = 1
         digits = 0.0
         for f in factors:
@@ -339,7 +291,7 @@ class Group(Descriptor):
     def truncate(self, budget):
         # cyclic chunks, the largest that fits per factor copy, left to right
         table = cyclic_table(1)
-        for f in self.spec.factors:
+        for f in self.factors:
             copies = f.mult if isinstance(f.mult, int) else budget
             for _ in range(copies):
                 room = budget // table.n
@@ -352,27 +304,64 @@ class Group(Descriptor):
         return table
 
 
-@dataclass(frozen=True)
 class Semilattice(Descriptor):
-    spec: SemilatticeSpec
+    """Base of the semilattice constructors.  Each carries its `size` (None
+    for countably infinite), its `chain_finite` flag with the reason
+    `chain_finite_why`, and `truncate(budget)`, its initial segment."""
 
     def profile(self):
-        s = self.spec
         w = {
-            "cardinality": ("finite poset" if s.size is not None
+            "cardinality": ("finite poset" if self.size is not None
                             else "infinite carrier"),
             "periodic": "idempotent elements",
-            "chain_finite": s.chain_finite_why,
+            "chain_finite": self.chain_finite_why,
             "subgroups_bounded": "all subgroups trivial (exponent 1)",
             "clifford": "semilattices are Clifford",
             "almost_clifford": "semilattices are Clifford",
             "has_singleton_square": "idempotency: a in A implies a = a*a in AA",
         }
-        return PredicateProfile(s.size, True, s.chain_finite, True, 1, True,
-                                True, False, w)
+        return PredicateProfile(self.size, True, self.chain_finite, True, 1,
+                                True, True, False, w)
+
+
+@dataclass(frozen=True)
+class FinitePoset(Semilattice):
+    table: CayleyTable
+    path: Optional[str] = field(default=None, compare=False)
+
+    chain_finite = True
+    chain_finite_why = "finite semilattice"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_commutative(self.table, "poset table")
+        if len(idempotents(self.table)) != self.table.n:
+            bad = min(set(self.table.elements) - idempotents(self.table))
+            raise ValueError("poset table is not idempotent: element %d" % bad)
+        object.__setattr__(self, "size", self.table.n)
 
     def truncate(self, budget):
-        return self.spec.truncate(budget)
+        return _truncate_table(self.table, budget)
+
+
+@dataclass(frozen=True)
+class OmegaChain(Semilattice):
+    """Order-isomorphic to the natural numbers under min."""
+
+    size = None
+    chain_finite = False
+    chain_finite_why = "chain-omega is itself an infinite chain"
+    truncate = staticmethod(chain_table)
+
+
+@dataclass(frozen=True)
+class OmegaAntichainZero(Semilattice):
+    """Infinitely many pairwise incomparable elements above one bottom."""
+
+    size = None
+    chain_finite = True
+    chain_finite_why = "antichain with zero: chains have at most 2 elements"
+    truncate = staticmethod(antichain_zero_table)
 
 
 def _decided_by(name, pl, pr, left, right, out_w, otherwise):
@@ -542,10 +531,10 @@ def spell(d, leaf) -> str:
     if isinstance(d, FiniteTable):
         return leaf(d)
     if isinstance(d, Group):
-        return "(group %s)" % " ".join(f.text() for f in d.spec.factors)
+        return "(group %s)" % " ".join(f.text() for f in d.factors)
     if isinstance(d, Semilattice):
-        word = _WORDS.get(type(d.spec))
-        return "(semilattice %s)" % (word if word else leaf(d.spec))
+        word = _WORDS.get(type(d))
+        return "(semilattice %s)" % (word if word else leaf(d))
     raise TypeError("not a descriptor: %r" % (d,))
 
 
@@ -704,11 +693,11 @@ def _parse_desc(tk, depth=1):
             raise DescriptorSyntaxError("group needs at least one factor",
                                         hline, hcol)
         tk.expect(")")
-        return Group(GroupSpec(tuple(factors)))
+        return Group(tuple(factors))
     if head == "semilattice":
-        spec = _parse_slspec(tk)
+        d = _parse_slspec(tk)
         tk.expect(")")
-        return Semilattice(spec)
+        return d
     raise DescriptorSyntaxError("unknown constructor %r" % head, hline, hcol)
 
 
@@ -769,8 +758,7 @@ def truncate(d, size_budget) -> CayleyTable:
 
 __all__ = [
     "OMEGA", "AdjoinIdentity", "AdjoinZero", "Descriptor", "Factor",
-    "FinitePoset", "FiniteTable", "Group", "GroupSpec", "Null", "OmegaChain",
+    "FinitePoset", "FiniteTable", "Group", "Null", "OmegaChain",
     "OmegaAntichainZero", "PredicateProfile", "Product", "Semilattice",
-    "SemilatticeSpec", "Taimanov", "describe", "evaluate", "is_prime",
-    "truncate",
+    "Taimanov", "describe", "evaluate", "is_prime", "truncate",
 ]

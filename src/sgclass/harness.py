@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import _kernel
-from .core import (CayleyTable, _z_sets, center, h_classes, idempotents,
-                   pi_map, root_inf)
+from .core import (CayleyTable, _positive_int, _z_sets, center, h_classes,
+                   idempotents, pi_map, root_inf)
 from .quotients import _lift_idempotent, _quotient, congruences
 
 MAX_ENUM_ORDER = 5
@@ -37,7 +37,7 @@ def enumerate_commutative(n, up_to_iso=False):
     orderly, without building the other labeled tables.  Order of emission
     is deterministic, and the same as the labeled order.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_ENUM_ORDER:
+    if not _positive_int(n) or n > MAX_ENUM_ORDER:
         raise ValueError("order must be an integer in 1..%d" % MAX_ENUM_ORDER)
     for flat in _kernel.commutative_tables(n, lex_least=up_to_iso):
         yield _unflatten(flat, n)

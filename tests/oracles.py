@@ -3,7 +3,7 @@
 `enumerate_commutative_naive` and `iso_class_count` check the enumeration
 kernel without sharing any of its code; `group_closed` and
 `semilattice_closed` read the closedness of a group or semilattice straight
-from its spec, without the predicate profile `classify` goes through.
+from its descriptor, without the predicate profile `classify` goes through.
 
 The reference implementations the tests compare the package against:
 `relabel` (a permutation of the element indices, which `iso_class_count`
@@ -49,14 +49,14 @@ def iso_class_count(tables) -> int:
     return count
 
 
-def group_closed(spec):
+def group_closed(group):
     """Theorem 1.3: a group is closed in every sense iff it is bounded."""
-    return all(f.kind == "cyclic" for f in spec.factors)
+    return all(f.kind == "cyclic" for f in group.factors)
 
 
-def semilattice_closed(spec):
+def semilattice_closed(semilattice):
     """Corollary 5.2: a semilattice is closed in every sense iff chain-finite."""
-    return not isinstance(spec, OmegaChain)
+    return not isinstance(semilattice, OmegaChain)
 
 
 def relabel(table: CayleyTable, perm) -> CayleyTable:

@@ -10,9 +10,9 @@ from sgclass.classify import CITE_GROUP, CITE_SEMILATTICE, classify
 from sgclass.core import (antichain_zero_table, chain_table, cyclic_table,
                           null_table, taimanov_table, validate)
 from sgclass.descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Factor,
-                                 FinitePoset, FiniteTable, Group, GroupSpec,
-                                 Null, OmegaAntichainZero, OmegaChain,
-                                 Product, Semilattice, Taimanov, truncate)
+                                 FinitePoset, FiniteTable, Group, Null,
+                                 OmegaAntichainZero, OmegaChain, Product,
+                                 Semilattice, Taimanov, truncate)
 from sgclass.harness import enumerate_commutative, lemma_suite
 from sgclass.power import power_semigroup
 from sgclass.quotients import rees_quotient
@@ -94,13 +94,13 @@ def _sample_descriptor(rng, depth):
         options += ["product", "adjoin-zero", "adjoin-identity"]
     kind = rng.choice(options)
     if kind == "group":
-        return Group(GroupSpec(tuple(
-            _sample_factor(rng) for _ in range(rng.randint(1, 3)))))
+        return Group(tuple(
+            _sample_factor(rng) for _ in range(rng.randint(1, 3))))
     if kind == "semilattice":
-        return Semilattice(rng.choice([
+        return rng.choice([
             OmegaChain(), OmegaAntichainZero(),
             FinitePoset(chain_table(3)),
-            FinitePoset(antichain_zero_table(4))]))
+            FinitePoset(antichain_zero_table(4))])
     if kind == "taimanov":
         return Taimanov()
     if kind == "null":
@@ -130,12 +130,12 @@ def test_criterion_3_specialization_and_implication_chain():
         verdicts = (v.c_closed, v.ideally_closed, v.projectively_closed)
         if isinstance(d, Group):
             groups += 1
-            if (verdicts != (group_closed(d.spec),) * 3
+            if (verdicts != (group_closed(d),) * 3
                     or v.citation != CITE_GROUP):
                 disagreements += 1
         elif isinstance(d, Semilattice):
             semilattices += 1
-            if (verdicts != (semilattice_closed(d.spec),) * 3
+            if (verdicts != (semilattice_closed(d),) * 3
                     or v.citation != CITE_SEMILATTICE):
                 disagreements += 1
     ok = (chain_breaks == 0 and disagreements == 0
@@ -215,22 +215,22 @@ def test_criterion_5_power_semigroup_laws():
 def test_criterion_6_singleton_square_rules():
     """No witnesses under group/semilattice truncations; always under null."""
     group_descriptors = [
-        Group(GroupSpec((Factor("cyclic", 2),))),
-        Group(GroupSpec((Factor("cyclic", 6),))),
-        Group(GroupSpec((Factor("cyclic", 4, 2),))),
-        Group(GroupSpec((Factor("cyclic", 2, OMEGA),))),
-        Group(GroupSpec((Factor("prufer", 2),))),
-        Group(GroupSpec((Factor("prufer", 3), Factor("cyclic", 5)))),
-        Group(GroupSpec((Factor("integers"),))),
-        Group(GroupSpec((Factor("cyclic-tower", 2),))),
-        Group(GroupSpec((Factor("cyclic", 2), Factor("cyclic", 3)))),
+        Group((Factor("cyclic", 2),)),
+        Group((Factor("cyclic", 6),)),
+        Group((Factor("cyclic", 4, 2),)),
+        Group((Factor("cyclic", 2, OMEGA),)),
+        Group((Factor("prufer", 2),)),
+        Group((Factor("prufer", 3), Factor("cyclic", 5))),
+        Group((Factor("integers"),)),
+        Group((Factor("cyclic-tower", 2),)),
+        Group((Factor("cyclic", 2), Factor("cyclic", 3))),
     ]
     semilattice_descriptors = [
-        Semilattice(OmegaChain()),
-        Semilattice(OmegaAntichainZero()),
-        Semilattice(FinitePoset(chain_table(3))),
-        Semilattice(FinitePoset(antichain_zero_table(4))),
-        Semilattice(FinitePoset(chain_table(1))),
+        OmegaChain(),
+        OmegaAntichainZero(),
+        FinitePoset(chain_table(3)),
+        FinitePoset(antichain_zero_table(4)),
+        FinitePoset(chain_table(1)),
     ]
     problems = []
     for d in group_descriptors + semilattice_descriptors:

@@ -3,8 +3,8 @@ from hypothesis import strategies as st
 
 from sgclass.classify import CITE_GROUP, CITE_SEMILATTICE, classify, explain
 from sgclass.descriptors import (OMEGA, Factor, FinitePoset, FiniteTable,
-                                 Group, GroupSpec, Null, OmegaAntichainZero,
-                                 OmegaChain, Product, Semilattice, Taimanov)
+                                 Group, Null, OmegaAntichainZero, OmegaChain,
+                                 Product, Semilattice, Taimanov)
 
 from oracles import group_closed, semilattice_closed
 from test_descriptors import LEAF_TABLES, descriptor_st, group_of
@@ -27,7 +27,7 @@ class TestClassify:
         assert v.citation == "Thm1.3"
 
     def test_omega_chain_fails_everything(self):
-        v = classify(Semilattice(OmegaChain()))
+        v = classify(OmegaChain())
         assert not v.c_closed and not v.ideally_closed
         assert v.failing_condition[0] == "chain-finite"
         assert v.citation == "Cor5.2"
@@ -47,30 +47,30 @@ class TestClassify:
 
 class TestClassifyGroup:
     def test_bounded_sum_of_omega_many(self):
-        v = classify(Group(GroupSpec((Factor("cyclic", 2, OMEGA),))))
+        v = classify(Group((Factor("cyclic", 2, OMEGA),)))
         assert v.c_closed and v.ideally_closed and v.projectively_closed
 
     def test_integers(self):
-        v = classify(Group(GroupSpec((Factor("integers"),))))
+        v = classify(Group((Factor("integers"),)))
         assert not v.c_closed
         assert v.failing_condition[0] == "subgroups-bounded"
 
     def test_cyclic_tower_torsion_but_unbounded(self):
-        v = classify(Group(GroupSpec((Factor("cyclic-tower", 2),))))
+        v = classify(Group((Factor("cyclic-tower", 2),)))
         assert not v.c_closed
 
 
 class TestClassifySemilattice:
     def test_antichain_with_zero_closed(self):
-        v = classify(Semilattice(OmegaAntichainZero()))
+        v = classify(OmegaAntichainZero())
         assert v.c_closed and v.ideally_closed and v.projectively_closed
 
     def test_omega_chain(self):
-        v = classify(Semilattice(OmegaChain()))
+        v = classify(OmegaChain())
         assert not v.c_closed and not v.ideally_closed
 
     def test_finite_poset(self, l3):
-        v = classify(Semilattice(FinitePoset(l3)))
+        v = classify(FinitePoset(l3))
         assert v.c_closed and v.ideally_closed and v.projectively_closed
 
 
@@ -120,8 +120,8 @@ class TestInvariants:
         v = classify(d)
         verdicts = (v.c_closed, v.ideally_closed, v.projectively_closed)
         if isinstance(d, Group):
-            assert verdicts == (group_closed(d.spec),) * 3
+            assert verdicts == (group_closed(d),) * 3
             assert v.citation == CITE_GROUP
         if isinstance(d, Semilattice):
-            assert verdicts == (semilattice_closed(d.spec),) * 3
+            assert verdicts == (semilattice_closed(d),) * 3
             assert v.citation == CITE_SEMILATTICE

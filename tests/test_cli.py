@@ -114,7 +114,7 @@ class TestParseDescriptor:
     def test_group_prufer(self):
         d = parse_descriptor("(group (prufer 2))")
         assert isinstance(d, Group)
-        assert d.spec.factors == (Factor("prufer", 2),)
+        assert d.factors == (Factor("prufer", 2),)
 
     def test_product(self):
         d = parse_descriptor("(product (taimanov) (semilattice chain-omega))")
@@ -216,8 +216,8 @@ class TestParseDescriptor:
 
     def test_multiplicities(self):
         d = parse_descriptor("(group (cyclic 2 x omega) (cyclic 3 x 2))")
-        assert d.spec.factors == (Factor("cyclic", 2, OMEGA),
-                                  Factor("cyclic", 3, 2))
+        assert d.factors == (Factor("cyclic", 2, OMEGA),
+                             Factor("cyclic", 3, 2))
 
     def test_table_loading(self, l3_file):
         d = parse_descriptor("(table %s)" % l3_file)
@@ -230,7 +230,7 @@ class TestParseDescriptor:
 
     def test_poset_spec(self, l3_file):
         d = parse_descriptor("(semilattice (poset %s))" % l3_file)
-        assert d.spec.table == chain_table(3)
+        assert d.table == chain_table(3)
 
 
 ROUND_TRIP_CORPUS = [

@@ -3,11 +3,12 @@ from itertools import combinations, product
 import pytest
 
 from sgclass import (CayleyTable, MalformedTableError, PreconditionError,
-                     adjoin_identity, adjoin_zero, center, chain_table,
-                     clifford_part, cyclic_table, group_exponent, h_class,
-                     h_classes, idempotents, max_chain_length, monogenic_data,
-                     natural_le, null_table, pi_map, product_table, restrict,
-                     root_inf, taimanov_table, validate, z_sets)
+                     adjoin_identity, adjoin_zero, antichain_zero_table,
+                     center, chain_table, clifford_part, cyclic_table,
+                     group_exponent, h_class, h_classes, idempotents,
+                     max_chain_length, monogenic_data, natural_le, null_table,
+                     pi_map, product_table, restrict, root_inf,
+                     taimanov_table, validate, z_sets)
 from sgclass.core import _z_sets
 
 from oracles import relabel
@@ -291,6 +292,11 @@ class TestZSets:
         with pytest.raises(PreconditionError):
             z_sets(l3, 1, 0)
 
+    def test_rejects_a_bool_n_max(self, l3):
+        with pytest.raises(PreconditionError,
+                           match="^n_max must be a positive integer$"):
+            z_sets(l3, 1, True)
+
     def test_rejects_a_non_idempotent(self, t5):
         with pytest.raises(PreconditionError, match="not idempotent"):
             z_sets(t5, 2, 1)
@@ -458,3 +464,13 @@ class TestBuilders:
         with pytest.raises(PreconditionError,
                            match="^cannot restrict to the empty set$"):
             restrict(z3, set())
+
+    @pytest.mark.parametrize("builder", [
+        cyclic_table, chain_table, null_table, taimanov_table,
+        antichain_zero_table])
+    @pytest.mark.parametrize("m", [True, 0, -1])
+    def test_builders_refuse_non_orders(self, builder, m):
+        # bool is a subclass of int, but True is not an order
+        with pytest.raises(PreconditionError) as exc:
+            builder(m)
+        assert str(exc.value) == "order must be a positive integer, got %r" % m

@@ -9,16 +9,15 @@ from sgclass import (CayleyTable, antichain_zero_table, chain_table,
 from sgclass.classify import classify
 from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
                                  Factor, FinitePoset, FiniteTable, Group,
-                                 GroupSpec, Null, OmegaAntichainZero,
-                                 OmegaChain, Product, Semilattice, Taimanov,
-                                 describe, evaluate, is_prime,
-                                 render_descriptor, truncate)
+                                 Null, OmegaAntichainZero, OmegaChain,
+                                 Product, Taimanov, describe, evaluate,
+                                 is_prime, render_descriptor, truncate)
 
 from oracles import relabel, singleton_square_scan
 
 
 def group_of(*factors):
-    return Group(GroupSpec(tuple(factors)))
+    return Group(tuple(factors))
 
 
 @st.composite
@@ -40,13 +39,12 @@ LEAF_TABLES = [cyclic_table(1), cyclic_table(3), cyclic_table(4),
 
 leaf_st = st.one_of(
     st.builds(FiniteTable, st.sampled_from(LEAF_TABLES)),
-    st.builds(Group, st.builds(GroupSpec,
-                               st.lists(factor_st(), min_size=1, max_size=3)
-                               .map(tuple))),
-    st.builds(Semilattice, st.one_of(
+    st.builds(Group, st.lists(factor_st(), min_size=1, max_size=3)
+              .map(tuple)),
+    st.one_of(
         st.just(OmegaChain()), st.just(OmegaAntichainZero()),
         st.builds(FinitePoset, st.sampled_from(
-            [chain_table(3), antichain_zero_table(4)])))),
+            [chain_table(3), antichain_zero_table(4)]))),
     st.just(Taimanov()),
     st.just(Null()),
 )
@@ -101,10 +99,14 @@ class TestValidation:
             Factor(*args)
         assert str(exc.value) == message
 
-    def test_group_spec_takes_only_factors(self):
+    def test_group_takes_only_factors(self):
         with pytest.raises(ValueError,
                            match="^group factors must be Factor instances$"):
-            GroupSpec((1,))
+            Group((1,))
+
+    def test_poset_path_is_not_compared(self, l3):
+        a, b = FinitePoset(l3, path="a"), FinitePoset(l3, path="b")
+        assert a == b and hash(a) == hash(b)
 
     def test_leaves_without_a_path_do_not_render(self, l3):
         with pytest.raises(ValueError, match="^cannot render a table "
@@ -112,7 +114,7 @@ class TestValidation:
             render_descriptor(FiniteTable(l3))
         with pytest.raises(ValueError, match="^cannot render a poset "
                                              "descriptor without a path$"):
-            render_descriptor(Semilattice(FinitePoset(l3)))
+            render_descriptor(FinitePoset(l3))
 
 
 class TestDepthLimit:
@@ -140,9 +142,14 @@ class TestDepthLimit:
         assert Product(Null(), AdjoinZero(Null())).depth == 3
         assert repr(AdjoinZero(Null())) == "AdjoinZero(inner=Null())"
 
+    def test_groups_and_semilattices_are_leaves(self):
+        for d in (group_of(Factor("cyclic", 2)), FinitePoset(chain_table(3)),
+                  OmegaChain(), OmegaAntichainZero()):
+            assert d.depth == 1
+
 
 class TestNotADescriptor:
-    @pytest.mark.parametrize("x", [3, CayleyTable([[0]]), OmegaChain()],
+    @pytest.mark.parametrize("x", [3, CayleyTable([[0]]), Factor("cyclic", 2)],
                              ids=["int", "table", "spec"])
     @pytest.mark.parametrize("call", [
         evaluate, describe, lambda x: truncate(x, 4), classify],
@@ -228,14 +235,14 @@ class TestEvaluate:
 
     def test_product_of_clifford_sides(self):
         p = evaluate(Product(group_of(Factor("prufer", 2)),
-                             Semilattice(OmegaChain())))
+                             OmegaChain()))
         assert p.clifford and p.almost_clifford
         assert not p.chain_finite and not p.subgroups_bounded
 
     def test_almost_clifford_needs_finite_other_side(self):
         tai = Taimanov()
         finite = FiniteTable(chain_table(3))
-        infinite = Semilattice(OmegaChain())
+        infinite = OmegaChain()
         assert evaluate(Product(tai, finite)).almost_clifford is False
         # Taimanov is not Clifford and not almost Clifford, so even a
         # finite partner cannot repair it
@@ -255,9 +262,9 @@ class TestEvaluate:
                 assert p.has_singleton_square == base.has_singleton_square
 
     def test_semilattices_never_have_singleton_squares(self):
-        for spec in (OmegaChain(), OmegaAntichainZero(),
-                     FinitePoset(chain_table(3))):
-            assert not evaluate(Semilattice(spec)).has_singleton_square
+        for d in (OmegaChain(), OmegaAntichainZero(),
+                  FinitePoset(chain_table(3))):
+            assert not evaluate(d).has_singleton_square
 
     @settings(max_examples=150)
     @given(descriptor_st)
@@ -301,7 +308,7 @@ class TestTruncate:
         assert truncate(Taimanov(), 5) == taimanov_table(5)
 
     def test_omega_chain(self):
-        assert truncate(Semilattice(OmegaChain()), 3) == chain_table(3)
+        assert truncate(OmegaChain(), 3) == chain_table(3)
 
     def test_cyclic_divisor_chunk(self):
         # largest divisor of 6 fitting in 4 elements is 3
@@ -314,7 +321,7 @@ class TestTruncate:
         assert all(t.op[x][x] == 0 for x in t.elements)
 
     def test_product_splits_budget(self):
-        d = Product(Semilattice(OmegaChain()), Null())
+        d = Product(OmegaChain(), Null())
         t = truncate(d, 6)
         assert t.n <= 6
         assert validate(t).associative
@@ -356,11 +363,11 @@ GROUP_CATALOG = [
 ]
 
 SEMILATTICE_CATALOG = [
-    Semilattice(OmegaChain()),
-    Semilattice(OmegaAntichainZero()),
-    Semilattice(FinitePoset(chain_table(3))),
-    Semilattice(FinitePoset(antichain_zero_table(4))),
-    Semilattice(FinitePoset(chain_table(1))),
+    OmegaChain(),
+    OmegaAntichainZero(),
+    FinitePoset(chain_table(3)),
+    FinitePoset(antichain_zero_table(4)),
+    FinitePoset(chain_table(1)),
 ]
 
 

@@ -27,6 +27,11 @@ class TestEnumerator:
         with pytest.raises(ValueError):
             list(enumerate_commutative_naive(4))
 
+    def test_refuses_a_bool_order(self):
+        with pytest.raises(ValueError, match=r"^order must be an integer "
+                                             r"in 1\.\.5$"):
+            list(enumerate_commutative(True))
+
     def test_all_outputs_are_commutative_semigroups(self):
         for n in (2, 3, 4):
             for t in enumerate_commutative(n):

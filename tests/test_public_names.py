@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "FinitePoset",
     "FiniteTable",
     "Group",
-    "GroupSpec",
     "MalformedTableError",
     "MonogenicData",
     "Null",
