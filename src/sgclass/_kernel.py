@@ -3,13 +3,13 @@
 One backtracking walk yields either every labeled commutative associative
 table or, by orderly generation (Read, "Every one a winner", 1978), only
 the tables that are lexicographically least among their relabelings: one
-per isomorphism class.
+per isomorphism class.  The orderly walk carries its live relabelings down
+the search, as in McKay's canonical augmentation (J. Algorithms, 1998).
 """
 
-from itertools import chain, permutations
+from itertools import permutations
 
 _RELABELINGS = {}
-_RELABELING_GROUPS = {}
 
 
 def _relabelings(n):
@@ -20,32 +20,29 @@ def _relabelings(n):
     if n not in _RELABELINGS:
         out = []
         for perm in permutations(range(n)):
-            if perm == tuple(range(n)):
-                continue
-            inv = [0] * n
-            for a, b in enumerate(perm):
-                inv[b] = a
+            inv = sorted(range(n), key=perm.__getitem__)
             out.append((perm, tuple(inv[i] * n + inv[j]
                                     for i in range(n) for j in range(n))))
-        _RELABELINGS[n] = tuple(out)
+        _RELABELINGS[n] = tuple(out[1:])  # out[0] is the identity
     return _RELABELINGS[n]
 
 
-def _relabeling_groups(n):
-    """`_relabelings(n)` grouped by the pair (x, y) sent to (0, 1).
-
-    Each entry is (x, y, x*n + x, x*n + y, members): an image of a flat
-    table f under any member starts with perm[f[x*n + x]], perm[f[x*n + y]].
-    Empty groups are left out.
+def _advance(flat, perm, src, k, end):
+    """Compare one relabeled image, equal to the table before k, with it
+    from k up to end: -1 if the image is smaller where they first differ,
+    None if it is larger, else where it stopped undecided (end, or the
+    first position whose image cell is unset).
     """
-    if n not in _RELABELING_GROUPS:
-        groups = {}
-        for perm, src in _relabelings(n):
-            groups.setdefault((src[0] // n, src[1] % n), []).append((perm, src))
-        _RELABELING_GROUPS[n] = tuple(
-            (x, y, x * n + x, x * n + y, tuple(members))
-            for (x, y), members in sorted(groups.items()))
-    return _RELABELING_GROUPS[n]
+    while k < end:
+        a = flat[src[k]]
+        if a < 0:
+            return k
+        v = perm[a]
+        w = flat[k]
+        if v != w:
+            return -1 if v < w else None
+        k += 1
+    return k
 
 
 def commutative_tables(n, lex_least=False):
@@ -58,17 +55,42 @@ def commutative_tables(n, lex_least=False):
     so the triples that read the new cell as (xy)z are found without a scan
     of the whole table.
 
-    With lex_least, each completed row is tested by `is_canonical`, and a
-    table some relabeling already beats is cut with its whole subtree.  The
-    output is then exactly the labeled output filtered by
-    `canonical_form(f, n) == f`, in the same order.
+    With lex_least, every relabeling is carried down the walk as (perm,
+    src, k, settles), live while its image equals the table before k.  Once
+    cell c is set, the set cells, mirrored, fill the flat table up to
+    ends[c], and `_advance` takes a woken relabeling on until it is larger
+    (dropped for the subtree), smaller (the branch is cut) or undecided.
+    Undecided, it waits in by_pos[ends[c]], or on its unset source cell in
+    by_src, filed under the one value v with perm[v] equal to the table at
+    k; that cell's `cuts` stacks the bitmask of the v with perm[v] below
+    it, each of which cuts the branch untested.  Setting a cell reads only
+    its own buckets, which nothing below it changes, and a node pops the
+    relabelings it placed.  The output is exactly the labeled output
+    filtered by `canonical_form(f, n) == f`, in the same order.
     """
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     ncells = len(cells)
     op = [[-1] * n for _ in range(n)]
+    flat = [-1] * (n * n)
     pre = [[] for _ in range(n)]
     rng = range(n)
     out = []
+    # the last cell of row i also completes row i + 1 up to its diagonal
+    ends = [i * n + j + 1 if j < n - 1 or i == n - 1 else (i + 1) * (n + 1)
+            for i, j in cells]
+    by_src = [[[] for _ in rng] for _ in flat]
+    cuts = [[0] for _ in flat]
+    by_pos = [[] for _ in range(n * n + 1)]
+    for perm, src in _relabelings(n) if lex_least else ():
+        inv = sorted(rng, key=perm.__getitem__)
+        # entry w: the one v with perm[v] = w, the bitmask of the v below it
+        settles = tuple((inv[w], sum(1 << v for v in inv[:w])) for w in rng)
+        # a symmetric table holds the same value in the upper triangle
+        src = tuple(min(p, p % n * n + p // n) for p in src)
+        by_pos[0].append((perm, src, 0, settles))
+    wakes = [(by_src[i * n + j], cuts[i * n + j],
+              by_pos[ends[c - 1] if c else 0:ends[c]])
+             for c, (i, j) in enumerate(cells)]
 
     def consistent(i, j, v):
         # A triple (x, y, z) is checked once its cells xy, yz, (xy)z and
@@ -98,25 +120,56 @@ def commutative_tables(n, lex_least=False):
                         return False
         return True
 
-    def fill(k):
-        if k == ncells:
-            out.append(tuple(chain.from_iterable(op)))
+    def fill(c):
+        if c == ncells:
+            out.append(tuple(flat))
             return
-        i, j = cells[k]
-        row_done = lex_least and j == n - 1
+        i, j = cells[c]
+        ij, ji = i * n + j, j * n + i
         own = ((i, j),) if i == j else ((i, j), (j, i))
+        cut = 0
+        if lex_least:
+            end = ends[c]
+            going, stack, on_pos = wakes[c]
+            cut = stack[-1]
+            woken = [live for bucket in on_pos for live in bucket]
         for v in rng:
-            op[i][j] = v
-            op[j][i] = v
+            if cut >> v & 1:
+                continue
+            op[i][j] = op[j][i] = flat[ij] = flat[ji] = v
             pv = pre[v]
             mark = len(pv)
             pv.extend(own)
-            if consistent(i, j, v) and (not row_done or is_canonical(
-                    list(chain.from_iterable(op)), n, i + 1)):
-                fill(k + 1)
+            if not consistent(i, j, v):
+                pass
+            elif not lex_least:
+                fill(c + 1)
+            else:
+                placed = []
+                for perm, src, k, settles in going[v] + woken:
+                    k = _advance(flat, perm, src, k, end)
+                    if k is None:
+                        continue
+                    if k < 0:
+                        break
+                    if k == end:
+                        bucket = by_pos[k]
+                        bucket.append((perm, src, k, settles))
+                    else:
+                        t, below = settles[flat[k]]
+                        bucket = by_src[src[k]][t]
+                        bucket.append((perm, src, k + 1, settles))
+                        if below:
+                            stack = cuts[src[k]]
+                            stack.append(stack[-1] | below)
+                            placed.append(stack)
+                    placed.append(bucket)
+                else:
+                    fill(c + 1)
+                for bucket in placed:
+                    bucket.pop()
             del pv[mark:]
-        op[i][j] = -1
-        op[j][i] = -1
+        op[i][j] = op[j][i] = flat[ij] = flat[ji] = -1
 
     fill(0)
     return out
@@ -126,64 +179,12 @@ def is_canonical(flat, n, rows):
     """False iff some relabeling is lex-smaller than the table.
 
     Only rows 0..rows-1 need be set (rows = n for a whole table); unset
-    cells are -1.  A relabeled image is compared with the table in
-    row-major order over those rows and counts as undecided at its first
-    unset cell, so a False answer holds for every completion of a partial
-    table.
-
-    The relabelings are visited in groups that send the same pair (x, y) to
-    (0, 1) (`_relabeling_groups`).  Every image in a group starts with
-    perm[x*x], perm[x*y], and each of those two cells is known exactly when
-    the product is x (giving 0) or y (giving 1), and known to be at least 2
-    otherwise.  A table with 0*0 >= 2 is beaten at once, by a relabeling
-    that fixes 0 and sends 0*0 to 1.  Otherwise a group whose image is
-    unset, or larger than the table, at the first cell where they differ is
-    skipped whole; one whose image is smaller there gives False at once;
-    only the rest are compared image by image, from the first cell not
-    known to be equal.  The answer does not depend on the order in which
-    the relabelings are visited.
+    cells are -1.  `_advance` compares each image with the table over those
+    rows and leaves it undecided at its first unset cell, so a False answer
+    holds for every completion of a partial table.
     """
-    end = rows * n
-    if end < 2:
-        return True  # no relabeling when n = 1; nothing compared when rows = 0
-    w0, w1 = flat[0], flat[1]
-    if w0 > 1:
-        return False  # fixing 0 and sending 0*0 to 1 starts the image with 1
-    for x, y, xx, xy, members in _relabeling_groups(n):
-        a = flat[xx]
-        if a < 0:
-            continue
-        v = 0 if a == x else 1 if a == y else 2
-        if v != w0:  # w0 < 2, so an inexact v is larger
-            if v < w0:
-                return False
-            continue
-        a = flat[xy]
-        if a < 0:
-            continue
-        v = 0 if a == x else 1 if a == y else 2
-        start = 2
-        if v < 2:
-            if v != w1:
-                if v < w1:
-                    return False
-                continue
-        elif w1 < 2:
-            continue
-        else:
-            start = 1
-        for perm, src in members:
-            for k in range(start, end):
-                a = flat[src[k]]
-                if a < 0:
-                    break
-                v = perm[a]
-                w = flat[k]
-                if v != w:
-                    if v < w:
-                        return False
-                    break
-    return True
+    return all(_advance(flat, perm, src, 0, rows * n) != -1
+               for perm, src in _relabelings(n))
 
 
 def canonical_form(flat, n):

@@ -283,7 +283,9 @@ def pi_map(table) -> tuple:
     for e in sorted(idempotents(table)):
         if e not in z:
             raise PreconditionError("idempotent %d is not central" % e)
-    return tuple(monogenic_data(table, x).pi for x in table.elements)
+    op = table.op
+    return tuple(next(e for e in _powers(table, x) if op[e][e] == e)
+                 for x in table.elements)
 
 
 def root_inf(table, subset) -> frozenset:

@@ -532,9 +532,10 @@ def spell(d, leaf) -> str:
         return leaf(d)
     if isinstance(d, Group):
         return "(group %s)" % " ".join(f.text() for f in d.factors)
-    if isinstance(d, Semilattice):
-        word = _WORDS.get(type(d))
-        return "(semilattice %s)" % (word if word else leaf(d))
+    if isinstance(d, FinitePoset):
+        return "(semilattice %s)" % leaf(d)
+    if type(d) in _WORDS:
+        return "(semilattice %s)" % _WORDS[type(d)]
     raise TypeError("not a descriptor: %r" % (d,))
 
 
@@ -725,7 +726,8 @@ def render_descriptor(d) -> str:
 
 
 def _descriptor(d):
-    if not isinstance(d, Descriptor):
+    # the base classes denote no semigroup
+    if not isinstance(d, Descriptor) or type(d) in (Descriptor, Semilattice):
         raise TypeError("not a descriptor: %r" % (d,))
     return d
 

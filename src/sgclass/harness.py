@@ -10,12 +10,13 @@ everything built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import _kernel
-from .core import (CayleyTable, _positive_int, _z_sets, center, h_classes,
-                   idempotents, pi_map, root_inf)
-from .quotients import _lift_idempotent, _quotient, congruences
+from .core import (CayleyTable, _positive_int, center, h_classes, idempotents,
+                   pi_map)
+from .quotients import _quotient, congruences
 
 MAX_ENUM_ORDER = 5
 
@@ -66,30 +67,37 @@ class SuiteReport:
 
 class _Facts(NamedTuple):
     """What the checks of one `lemma_suite` call share, each computed once
-    per call or, for the quotient facts, once per `known`.
-
+    per call or, for the quotient facts, once per `known`.  Sets of
+    elements are int bitmasks.  powers[x] is x, x^2, ..., x^(n+2), and
     quotients holds (congruence, projection, quotient idempotents, quotient
     H-classes) for every congruence of the table, in search order.
     """
-    idempotents: frozenset
-    h_classes: tuple
+    idempotents: tuple  # ascending
+    h_classes: tuple  # entry x: the H-class of x
     pi: tuple
+    powers: list
     center: list  # sorted
     quotients: list
 
 
+@lru_cache(maxsize=None)  # the masks stay below 2**MAX_CONGRUENCE_ORDER
+def _members(m):
+    """The members of the bitmask m, ascending."""
+    return tuple(x for x in range(m.bit_length()) if m >> x & 1)
+
+
 def _check_root_absorption(table, facts):
-    # products of the root set of a maximal subgroup with the subgroup
-    # itself must stay inside the subgroup
+    # products of the root set of a maximal subgroup (the x some power of
+    # which lies in it) with the subgroup itself must stay inside it
     op = table.op
-    hs = facts.h_classes
-    for e in sorted(facts.idempotents):
-        he = hs[e]
-        roots = root_inf(table, he)
-        for x in sorted(roots):
-            for y in sorted(he):
-                if op[x][y] not in he or op[y][x] not in he:
-                    return "e=%d x=%d y=%d" % (e, x, y)
+    reach = [sum(1 << p for p in set(seq)) for seq in facts.powers]
+    for e in facts.idempotents:
+        he = facts.h_classes[e]
+        for x in range(table.n):
+            if reach[x] & he:
+                for y in _members(he):
+                    if not (he >> op[x][y]) & (he >> op[y][x]) & 1:
+                        return "e=%d x=%d y=%d" % (e, x, y)
     return None
 
 
@@ -105,14 +113,14 @@ def _check_pi_homomorphism(table, facts):
 
 def _check_h_class_products(table, facts):
     op = table.op
-    es = sorted(facts.idempotents)
+    es = facts.idempotents
     hs = facts.h_classes
     for e in es:
         for f in es:
             target = hs[op[e][f]]
-            for a in sorted(hs[e]):
-                for b in sorted(hs[f]):
-                    if op[a][b] not in target:
+            for a in _members(hs[e]):
+                for b in _members(hs[f]):
+                    if not target >> op[a][b] & 1:
                         return "e=%d f=%d a=%d b=%d" % (e, f, a, b)
     return None
 
@@ -131,32 +139,57 @@ def _check_pi_product_lower_bound(table, facts):
 
 
 def _check_z_sets_ascending(table, facts):
-    hs = facts.h_classes
-    for e in sorted(facts.idempotents):
-        layers = _z_sets(table, hs[e], facts.center, table.n + 2)
-        for k in range(len(layers) - 1):
-            if not layers[k] <= layers[k + 1]:
-                return "e=%d k=%d" % (e, k + 1)
+    # layer k of z_sets(table, e, n + 2) holds the central z with z^(k+1) in
+    # the maximal subgroup at e; one bit of `layer` per central element
+    powers = [facts.powers[z] for z in facts.center]
+    for e in facts.idempotents:
+        he = facts.h_classes[e]
+        below = 0
+        for k in range(table.n + 2):
+            layer = 0
+            for seq in powers:
+                layer = layer << 1 | he >> seq[k] & 1
+            if k and below & ~layer:
+                return "e=%d k=%d" % (e, k)
+            below = layer
     return None
 
 
 def _check_quotient_idempotent_image(table, facts):
     source_e = facts.idempotents
     for cong, proj, quotient_e, _ in facts.quotients:
-        if quotient_e != frozenset(proj[e] for e in source_e):
+        image = 0
+        for e in source_e:
+            image |= 1 << proj[e]
+        if image != quotient_e:
             return "congruence %r" % (sorted(sorted(c) for c in cong.classes),)
     return None
 
 
+def _lifts(table, cong, es):
+    """Each idempotent class's lift, in one pass over the ascending
+    idempotents es, as the same product as `quotients._lift_idempotent`."""
+    op = table.op
+    cf = cong.class_of
+    lifts = {}
+    for e in es:
+        s = lifts.get(cf[e])
+        lifts[cf[e]] = e if s is None else op[s][e]
+    return lifts
+
+
 def _check_quotient_h_class_lift(table, facts):
-    # every congruence here comes from congruences(table), so the lift
-    # skips lift_idempotent's checks; a finite quotient has an idempotent
-    source_e = facts.idempotents
-    hs = facts.h_classes
+    # the lift is grouped by the congruence's classes and its image taken
+    # through the projection; a finite quotient's idempotent class holds an
+    # idempotent, and the lift is one, as the idempotents commute
+    es = facts.idempotents
+    subgroups = {e: _members(facts.h_classes[e]) for e in es}
     for cong, proj, quotient_e, quotient_hs in facts.quotients:
-        for e_class in sorted(quotient_e):
-            s = _lift_idempotent(table, cong, e_class, source_e)
-            image = frozenset(proj[x] for x in hs[s])
+        lifts = _lifts(table, cong, es)
+        for e_class in _members(quotient_e):
+            image = 0
+            for x in subgroups[lifts[e_class]]:
+                image |= 1 << proj[x]
             if image != quotient_hs[e_class]:
                 return "congruence %r class %d" % (
                     sorted(sorted(c) for c in cong.classes), e_class)
@@ -185,12 +218,12 @@ def lemma_suite(table, known=None) -> SuiteReport:
 
     The seven checks share one `_Facts`.  The idempotents and H-classes of
     each distinct quotient table are computed once and kept in `known`, a
-    dict from quotient cells to (idempotents, H-classes); the table's own
-    come from there too, since it is its own quotient by the identity
-    congruence.  Its pi map and center are computed once per call.  A
-    caller that runs many tables, as `suite` does, passes one `known` to
-    all of them, so a quotient met again is not recomputed; without one,
-    a fresh dict serves this call alone.
+    dict from quotient cells to their bitmasks; the table's own come from
+    there too, since it is its own quotient by the identity congruence.
+    Its pi map, center and powers are computed once per call.  A caller
+    that runs many tables, as `suite` does, passes one `known` to all of
+    them, so a quotient met again is not recomputed; without one, a fresh
+    dict serves this call alone.
     """
     if known is None:
         known = {}
@@ -201,11 +234,17 @@ def lemma_suite(table, known=None) -> SuiteReport:
         quotient, proj = _quotient(table, cong)
         shared = known.get(quotient.op)
         if shared is None:
-            shared = known[quotient.op] = (idempotents(quotient),
-                                           h_classes(quotient))
+            shared = known[quotient.op] = (
+                sum(1 << e for e in idempotents(quotient)),
+                tuple(sum(1 << x for x in h) for h in h_classes(quotient)))
         quotients.append((cong, proj) + shared)
-    facts = _Facts(*known[table.op], pi_map(table), sorted(center(table)),
-                   quotients)
+    es, hs = known[table.op]
+    powers = [[x] for x in table.elements]
+    for seq, row in zip(powers, table.op):
+        for _ in range(table.n + 1):
+            seq.append(row[seq[-1]])
+    facts = _Facts(_members(es), hs, pi_map(table), powers,
+                   sorted(center(table)), quotients)
     results = []
     for name, check in _SUITE:
         ce = check(table, facts)

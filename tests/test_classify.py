@@ -1,5 +1,4 @@
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sgclass.classify import CITE_GROUP, CITE_SEMILATTICE, classify, explain
 from sgclass.descriptors import (OMEGA, Factor, FinitePoset, FiniteTable,

@@ -18,7 +18,7 @@ from sgclass.core import (TableParseError, chain_table, cyclic_table,
                           parse_table, render_table, taimanov_table)
 from sgclass.descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA,
                                  SEMILATTICE_WORDS, DescriptorSyntaxError,
-                                 Factor, FiniteTable, Group, Null, Product,
+                                 Factor, FiniteTable, Group, Product,
                                  Semilattice, Taimanov, parse_descriptor,
                                  render_descriptor)
 

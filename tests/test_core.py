@@ -249,6 +249,11 @@ class TestPiMap:
         with pytest.raises(PreconditionError, match="idempotent 0 is not central"):
             pi_map(lz2)
 
+    def test_agrees_with_monogenic_data_on_corpus(self, corpus5):
+        for table in corpus5:
+            assert pi_map(table) == tuple(monogenic_data(table, x).pi
+                                          for x in table.elements)
+
 
 class TestRootInf:
     def oracle(self, table, subset):
@@ -302,8 +307,7 @@ class TestZSets:
             z_sets(t5, 2, 1)
 
     def test_unchecked_form_matches(self, corpus4):
-        # _z_sets, handed the maximal subgroup and the sorted center, is
-        # what the suite calls
+        # _z_sets, handed the maximal subgroup and the sorted center
         for table in corpus4:
             hs = h_classes(table)
             zc = sorted(center(table))

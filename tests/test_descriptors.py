@@ -8,10 +8,11 @@ from sgclass import (CayleyTable, antichain_zero_table, chain_table,
                      taimanov_table, validate)
 from sgclass.classify import classify
 from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
-                                 Factor, FinitePoset, FiniteTable, Group,
-                                 Null, OmegaAntichainZero, OmegaChain,
-                                 Product, Taimanov, describe, evaluate,
-                                 is_prime, render_descriptor, truncate)
+                                 Descriptor, Factor, FinitePoset, FiniteTable,
+                                 Group, Null, OmegaAntichainZero, OmegaChain,
+                                 Product, Semilattice, Taimanov, describe,
+                                 evaluate, is_prime, render_descriptor,
+                                 truncate)
 
 from oracles import relabel, singleton_square_scan
 
@@ -157,6 +158,26 @@ class TestNotADescriptor:
     def test_raises_type_error(self, call, x):
         with pytest.raises(TypeError, match="not a descriptor"):
             call(x)
+
+    # the base classes denote no semigroup; one test per entry point
+
+    @staticmethod
+    def refuses_the_base_classes(call):
+        for base in (Descriptor, Semilattice):
+            with pytest.raises(TypeError, match="^not a descriptor: <"):
+                call(base())
+
+    def test_evaluate_refuses_the_base_classes(self):
+        self.refuses_the_base_classes(evaluate)
+
+    def test_classify_refuses_the_base_classes(self):
+        self.refuses_the_base_classes(classify)
+
+    def test_describe_refuses_the_base_classes(self):
+        self.refuses_the_base_classes(describe)
+
+    def test_truncate_refuses_the_base_classes(self):
+        self.refuses_the_base_classes(lambda d: truncate(d, 4))
 
 
 class TestCardinality:

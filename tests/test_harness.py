@@ -3,9 +3,10 @@ import pytest
 from sgclass import _kernel, cli, harness
 from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import (CayleyTable, PreconditionError, chain_table,
-                          cyclic_table, pi_map, taimanov_table, validate)
+                          cyclic_table, idempotents, pi_map, taimanov_table,
+                          validate)
 from sgclass.harness import CheckResult, enumerate_commutative, lemma_suite
-from sgclass.quotients import rees_quotient
+from sgclass.quotients import _lift_idempotent, rees_quotient
 
 from oracles import (enumerate_commutative_naive, iso_class_count,
                      singleton_square_scan)
@@ -155,6 +156,20 @@ class TestLemmaSuite:
                              "quotients": len(list(real_congruences(table)))}
 
 
+    def test_lifts_agree_with_lift_idempotent(self, corpus5):
+        # every idempotent class of every quotient, orders 1..5
+        lifted = 0
+        for table in corpus5:
+            idem = idempotents(table)
+            for cong in harness.congruences(table):
+                lifts = harness._lifts(table, cong, sorted(idem))
+                classes = {cong.class_of[e] for e in idem}
+                assert sorted(lifts) == sorted(classes)
+                for e_class, s in lifts.items():
+                    assert s == _lift_idempotent(table, cong, e_class, idem)
+                lifted += len(lifts)
+        assert lifted == 8327
+
     def test_each_fact_once_per_table_and_per_distinct_quotient(
             self, corpus5, monkeypatch):
         calls = {"h_classes": 0, "idempotents": 0, "pi_map": 0}
@@ -299,40 +314,47 @@ class TestSuiteFailurePath:
                         "congruence [[0], [1]] class 0"),
         )
 
-    # each check below reads only the facts it is handed; a wrong fact makes
-    # it fail on a table that passes the suite
+    # each check below reads only the facts it is handed, as bitmasks; a
+    # wrong fact makes it fail on a table that passes the suite
+
+    @staticmethod
+    def facts(**given):
+        return harness._Facts(**{name: given.get(name)
+                                 for name in harness._Facts._fields})
 
     def test_root_ideal_absorption_reports_the_first_escape(self):
         # the subgroup at 0 in Z2 is {0, 1}; claimed as {0}, the root 1 of
         # {0} times 0 leaves it
-        facts = harness._Facts(frozenset({0}), ({0}, {1}), None, None, None)
+        facts = self.facts(idempotents=(0,), h_classes=(0b01, 0b10),
+                           powers=((0, 0, 0, 0), (1, 0, 1, 0)))
         check = harness._check_root_absorption
         assert check(cyclic_table(2), facts) == "e=0 x=1 y=0"
 
     def test_pi_homomorphism_reports_the_first_failing_pair(self):
         # swapping the idempotents 1 and 2 of the chain 0 < 1 < 2 breaks min
-        facts = harness._Facts(None, None, (0, 2, 1), None, None)
+        facts = self.facts(pi=(0, 2, 1))
         check = harness._check_pi_homomorphism
         assert check(chain_table(3), facts) == "x=1 y=2"
 
     def test_h_class_products_reports_the_first_escape(self):
         # {0, 1} claimed as the subgroup at 0 in Z3 is not closed: 1 + 1 = 2
-        facts = harness._Facts(frozenset({0}), ({0, 1}, {0, 1}, {2}), None,
-                               None, None)
+        facts = self.facts(idempotents=(0,),
+                           h_classes=(0b011, 0b011, 0b100))
         check = harness._check_h_class_products
         assert check(cyclic_table(3), facts) == "e=0 f=0 a=1 b=1"
 
     def test_z_sets_ascending_reports_the_first_shrinking_layer(self):
         # with the subgroup at 0 in Z2 claimed as {0}, 1 has its even
         # powers in it but not its odd ones
-        facts = harness._Facts(frozenset({0}), ({0}, {1}), None, [0, 1], None)
+        facts = self.facts(idempotents=(0,), h_classes=(0b01, 0b10),
+                           powers=((0, 0, 0, 0), (1, 0, 1, 0)), center=[0, 1])
         check = harness._check_z_sets_ascending
         assert check(cyclic_table(2), facts) == "e=0 k=2"
 
     def test_pi_product_lower_bound_reports_the_first_failing_pair(self):
         # the check reads only facts.pi; this map sends 2 to 1, so
         # pi(1)pi(2) = 1 is not below pi(1*2) = pi(0) = 0
-        facts = harness._Facts(None, None, (0, 1, 1), None, None)
+        facts = self.facts(pi=(0, 1, 1))
         check = harness._check_pi_product_lower_bound
         assert check(CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
                      facts) == "x=1 y=2"

@@ -1,10 +1,10 @@
-"""Oracles for the orderly generator's relabeling groups.
+"""Oracles for the orderly generator's relabeling test.
 
-`is_canonical` visits the relabelings in groups that send the same pair to
-(0, 1), and skips or decides a whole group from two cells.
-`ungrouped_is_canonical` is the plain loop over every relabeling that it
-replaced.  The orbit sum checks the generator at orders where the labeled
-filter is too slow to run.
+`is_canonical` runs `_advance`, the routine the orderly walk advances its
+live relabelings with, over every relabeling; `ungrouped_is_canonical` is
+the plain loop written out on its own (the test names keep the word from
+the pair-grouped test it once checked).  The orbit sum checks the
+generator at orders where the labeled filter is too slow to run.
 """
 
 import hashlib
@@ -15,7 +15,6 @@ from math import factorial
 
 import pytest
 
-from sgclass import _kernel
 from sgclass._kernel import _relabelings, commutative_tables, is_canonical
 
 
@@ -38,20 +37,43 @@ def ungrouped_is_canonical(flat, n, rows):
 def labeled_walk_prefixes(n):
     """Every row-complete prefix the labeled walk reaches, with its row count.
 
-    With a test that accepts every prefix, the orderly walk visits the
-    same nodes as the labeled one.
+    The walk checks each triple as soon as its cells are set, so it reaches
+    exactly the prefixes on which every such triple associates; they are
+    grown here row by row, and the whole tables among them are the labeled
+    output, in its order.
     """
     prefixes = []
-
-    def accept(flat, n, rows):
-        prefixes.append((tuple(flat), rows))
-        return True
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernel, "is_canonical", accept)
-        tables = commutative_tables(n, lex_least=True)
-    assert tables == commutative_tables(n)
+    level = [[-1] * (n * n)]
+    for i in range(n):
+        level = [flat for prefix in level
+                 for flat in row_completions(prefix, n, i)
+                 if associative_where_set(flat, n)]
+        prefixes += [(flat, i + 1) for flat in level]
+    assert [tuple(flat) for flat in level] == commutative_tables(n)
     return prefixes
+
+
+def row_completions(prefix, n, i):
+    for values in product(range(n), repeat=n - i):
+        flat = list(prefix)
+        for j, v in enumerate(values, i):
+            flat[i * n + j] = flat[j * n + i] = v
+        yield flat
+
+
+def associative_where_set(flat, n):
+    for x in range(n):
+        for y in range(n):
+            xy = flat[x * n + y]
+            if xy < 0:
+                continue
+            for z in range(n):
+                yz = flat[y * n + z]
+                if yz >= 0:
+                    a, b = flat[xy * n + z], flat[x * n + yz]
+                    if a >= 0 and b >= 0 and a != b:
+                        return False
+    return True
 
 
 def symmetric_prefixes(n, rows):

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgclass import (CayleyTable, PreconditionError, chain_table,
-                     cyclic_table, h_class, idempotents, null_table,
-                     product_table, taimanov_table, validate)
+from sgclass import (PreconditionError, chain_table, cyclic_table, h_class,
+                     idempotents, null_table, product_table)
 from sgclass._kernel import canonical_form
 from sgclass.quotients import (Congruence, congruence_closure,
                                congruence_violation, congruences,
