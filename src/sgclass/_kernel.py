@@ -1,10 +1,11 @@
 """Enumeration kernel.  Tables travel as flat row-major tuples.
 
-One backtracking walk yields either every labeled commutative associative
-table or, by orderly generation (Read, "Every one a winner", 1978), only
-the tables that are lexicographically least among their relabelings: one
-per isomorphism class.  The orderly walk carries its live relabelings down
-the search, as in McKay's canonical augmentation (J. Algorithms, 1998).
+One backtracking walk, orderly generation (Read, "Every one a winner",
+1978), yields only the tables that are lexicographically least among their
+relabelings: one per isomorphism class.  It carries its live relabelings
+down the search, as in McKay's canonical augmentation (J. Algorithms,
+1998).  The labeled tables are the images of those classes under every
+relabeling.
 """
 
 from itertools import permutations
@@ -46,27 +47,31 @@ def _advance(flat, perm, src, k, end):
 
 
 def commutative_tables(n, lex_least=False):
-    """All commutative associative tables on 0..n-1, as flat tuples.
+    """All commutative associative tables on 0..n-1, as flat tuples in
+    ascending order; with lex_least, only the lex-least table of each
+    isomorphism class.
 
-    Backtracking over the upper-triangle cells in row-major order with
-    value order 0..n-1, so the output order is deterministic.  After each
-    assignment only the triples that read the new cell are checked.
-    `pre[p]` lists the set cells (x, y) with xy = p, in both orientations,
-    so the triples that read the new cell as (xy)z are found without a scan
-    of the whole table.
+    The walk finds the classes, backtracking over the upper-triangle cells
+    in row-major order with value order 0..n-1, so they come out sorted.
+    After each assignment only the triples that read the new cell are
+    checked.  `pre[p]` lists the set cells (x, y) with xy = p, in both
+    orientations, so the triples that read the new cell as (xy)z are found
+    without a scan of the whole table.
 
-    With lex_least, every relabeling is carried down the walk as (perm,
-    src, k, settles), live while its image equals the table before k.  Once
-    cell c is set, the set cells, mirrored, fill the flat table up to
-    ends[c], and `_advance` takes a woken relabeling on until it is larger
-    (dropped for the subtree), smaller (the branch is cut) or undecided.
-    Undecided, it waits in by_pos[ends[c]], or on its unset source cell in
-    by_src, filed under the one value v with perm[v] equal to the table at
-    k; that cell's `cuts` stacks the bitmask of the v with perm[v] below
-    it, each of which cuts the branch untested.  Setting a cell reads only
-    its own buckets, which nothing below it changes, and a node pops the
-    relabelings it placed.  The output is exactly the labeled output
-    filtered by `canonical_form(f, n) == f`, in the same order.
+    Every relabeling is carried down the walk as (perm, src, k, settles),
+    live while its image equals the table before k.  Once cell c is set,
+    the set cells, mirrored, fill the flat table up to ends[c], and
+    `_advance` takes a woken relabeling on until it is larger (dropped for
+    the subtree), smaller (the branch is cut) or undecided.  Undecided, it
+    waits in by_pos[ends[c]], or on its unset source cell in by_src, filed
+    under the one value v with perm[v] equal to the table at k; that cell's
+    `cuts` stacks the bitmask of the v with perm[v] below it, each of which
+    cuts the branch untested.  Setting a cell reads only its own buckets,
+    which nothing below it changes, and a node pops the relabelings it
+    placed.
+
+    Every labeled table relabels exactly one class, so the labeled output
+    is the set of the classes' images under every relabeling, sorted.
     """
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     ncells = len(cells)
@@ -81,7 +86,7 @@ def commutative_tables(n, lex_least=False):
     by_src = [[[] for _ in rng] for _ in flat]
     cuts = [[0] for _ in flat]
     by_pos = [[] for _ in range(n * n + 1)]
-    for perm, src in _relabelings(n) if lex_least else ():
+    for perm, src in _relabelings(n):
         inv = sorted(rng, key=perm.__getitem__)
         # entry w: the one v with perm[v] = w, the bitmask of the v below it
         settles = tuple((inv[w], sum(1 << v for v in inv[:w])) for w in rng)
@@ -127,12 +132,10 @@ def commutative_tables(n, lex_least=False):
         i, j = cells[c]
         ij, ji = i * n + j, j * n + i
         own = ((i, j),) if i == j else ((i, j), (j, i))
-        cut = 0
-        if lex_least:
-            end = ends[c]
-            going, stack, on_pos = wakes[c]
-            cut = stack[-1]
-            woken = [live for bucket in on_pos for live in bucket]
+        end = ends[c]
+        going, stack, on_pos = wakes[c]
+        cut = stack[-1]
+        woken = [live for bucket in on_pos for live in bucket]
         for v in rng:
             if cut >> v & 1:
                 continue
@@ -140,11 +143,7 @@ def commutative_tables(n, lex_least=False):
             pv = pre[v]
             mark = len(pv)
             pv.extend(own)
-            if not consistent(i, j, v):
-                pass
-            elif not lex_least:
-                fill(c + 1)
-            else:
+            if consistent(i, j, v):
                 placed = []
                 for perm, src, k, settles in going[v] + woken:
                     k = _advance(flat, perm, src, k, end)
@@ -172,7 +171,12 @@ def commutative_tables(n, lex_least=False):
         op[i][j] = op[j][i] = flat[ij] = flat[ji] = -1
 
     fill(0)
-    return out
+    if lex_least:
+        return out
+    labeled = set(out)
+    for perm, src in _relabelings(n):
+        labeled.update(tuple(perm[f[s]] for s in src) for f in out)
+    return sorted(labeled)
 
 
 def is_canonical(flat, n, rows):

@@ -262,13 +262,24 @@ def _powers(table, x):
     return powers
 
 
+def _first_idempotent(table, x, powers):
+    """The first idempotent among powers, a run of the powers of x that
+    holds their cycle; in a finite semigroup the cycle holds one."""
+    op = table.op
+    for e in powers:
+        if op[e][e] == e:
+            return e
+    raise PreconditionError("the table is not associative: the powers of %d "
+                            "cycle without an idempotent" % x)
+
+
 def monogenic_data(table, x) -> MonogenicData:
     """Index, period and idempotent of the power sequence of x."""
     _check_element(table, x)
     op = table.op
     powers = _powers(table, x)
     start = powers.index(op[powers[-1]][x])
-    pi = next(e for e in powers[start:] if op[e][e] == e)
+    pi = _first_idempotent(table, x, powers[start:])
     return MonogenicData(start + 1, len(powers) - start, pi)
 
 
@@ -283,8 +294,7 @@ def pi_map(table) -> tuple:
     for e in sorted(idempotents(table)):
         if e not in z:
             raise PreconditionError("idempotent %d is not central" % e)
-    op = table.op
-    return tuple(next(e for e in _powers(table, x) if op[e][e] == e)
+    return tuple(_first_idempotent(table, x, _powers(table, x))
                  for x in table.elements)
 
 

@@ -35,8 +35,10 @@ def enumerate_commutative(n, up_to_iso=False):
 
     With up_to_iso, only tables equal to their own canonical (lex-least)
     relabeling are emitted, one per isomorphism class; they are generated
-    orderly, without building the other labeled tables.  Order of emission
-    is deterministic, and the same as the labeled order.
+    orderly, without building the other labeled tables.  Without it, the
+    labeled tables are those classes' relabelings.  Either way tables come
+    in ascending order of their rows, so the classes keep their labeled
+    order.
     """
     if not _positive_int(n) or n > MAX_ENUM_ORDER:
         raise ValueError("order must be an integer in 1..%d" % MAX_ENUM_ORDER)

@@ -1,7 +1,7 @@
 """Independent oracles and reference implementations that only the tests use.
 
-`enumerate_commutative_naive` and `iso_class_count` check the enumeration
-kernel without sharing any of its code; `group_closed` and
+`enumerate_commutative_naive`, `labeled_tables` and `iso_class_count` check
+the enumeration kernel without sharing any of its code; `group_closed` and
 `semilattice_closed` read the closedness of a group or semilattice straight
 from its descriptor, without the predicate profile `classify` goes through.
 
@@ -34,6 +34,52 @@ def enumerate_commutative_naive(n):
         report = validate(table)
         if report.associative and report.commutative:
             yield table
+
+
+def labeled_prefixes(n):
+    """Every row-complete prefix on which each triple whose cells are all
+    set associates, with its row count, grown row by row from the empty
+    table with each row's values in ascending order.
+
+    The prefixes with all n rows are the commutative associative tables of
+    order n, in ascending order of their flat tuples.
+    """
+    level = [[-1] * (n * n)]
+    for i in range(n):
+        level = [flat for prefix in level
+                 for flat in _row_completions(prefix, n, i)
+                 if _associative_where_set(flat, n)]
+        for flat in level:
+            yield flat, i + 1
+
+
+def labeled_tables(n):
+    """Every commutative associative table of order n as a flat tuple, in
+    ascending order: the labeled enumeration, computed row by row."""
+    return [tuple(flat) for flat, rows in labeled_prefixes(n) if rows == n]
+
+
+def _row_completions(prefix, n, i):
+    for values in product(range(n), repeat=n - i):
+        flat = list(prefix)
+        for j, v in enumerate(values, i):
+            flat[i * n + j] = flat[j * n + i] = v
+        yield flat
+
+
+def _associative_where_set(flat, n):
+    for x in range(n):
+        for y in range(n):
+            xy = flat[x * n + y]
+            if xy < 0:
+                continue
+            for z in range(n):
+                yz = flat[y * n + z]
+                if yz >= 0:
+                    a, b = flat[xy * n + z], flat[x * n + yz]
+                    if a >= 0 and b >= 0 and a != b:
+                        return False
+    return True
 
 
 def iso_class_count(tables) -> int:

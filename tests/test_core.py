@@ -211,6 +211,9 @@ class TestCliffordPart:
         assert clifford_part(l3) == {0, 1, 2}
 
 
+NO_IDEMPOTENT_CYCLE = CayleyTable([[1, 2, 0], [2, 0, 1], [0, 1, 1]])
+
+
 class TestMonogenic:
     def test_z4_generator(self, z4):
         # oracle: powers of 1 are 1, 2, 3, 0, 1, ...
@@ -222,6 +225,13 @@ class TestMonogenic:
 
     def test_idempotent(self, l3):
         assert monogenic_data(l3, 1) == (1, 1, 1)
+
+    def test_refuses_a_cycle_without_an_idempotent(self):
+        # commutative, not associative: the powers of 0 run 0, 1, 2, 0, ...
+        # and the table has no idempotent at all
+        with pytest.raises(PreconditionError, match="powers of 0 cycle "
+                                                    "without an idempotent"):
+            monogenic_data(NO_IDEMPOTENT_CYCLE, 0)
 
     def test_invariants_on_corpus(self, corpus4):
         for table in corpus4:
@@ -248,6 +258,13 @@ class TestPiMap:
     def test_rejects_non_central_idempotent(self, lz2):
         with pytest.raises(PreconditionError, match="idempotent 0 is not central"):
             pi_map(lz2)
+
+    def test_refuses_a_cycle_without_an_idempotent(self):
+        # with no idempotent, "every idempotent is central" holds, so the
+        # powers of 0 are walked
+        with pytest.raises(PreconditionError, match="powers of 0 cycle "
+                                                    "without an idempotent"):
+            pi_map(NO_IDEMPOTENT_CYCLE)
 
     def test_agrees_with_monogenic_data_on_corpus(self, corpus5):
         for table in corpus5:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgclass import (CayleyTable, antichain_zero_table, chain_table,
+from sgclass import (CayleyTable, adjoin_identity, adjoin_zero,
+                     antichain_zero_table, chain_table, clifford_part,
                      cyclic_table, group_exponent, idempotents,
                      max_chain_length, null_table, product_table,
                      taimanov_table, validate)
@@ -438,3 +441,48 @@ class TestProfileTruncationConsistency:
         for budget in range(2, 9):
             witness = singleton_square_scan(truncate(Null(), budget))
             assert witness is not None and len(witness) >= 2
+
+
+def predicates(d):
+    """The profile of a descriptor without its witness strings."""
+    return replace(d.profile(), witness=None)
+
+
+class TestFiniteIdentities:
+    """The product and adjunction rules against the tables they describe,
+    over every pair of classes A, B of orders 1..4 with |A|.|B| <= 12."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, corpus4):
+        return [(a, b) for a in corpus4 for b in corpus4 if a.n * b.n <= 12]
+
+    def test_product_profile_is_the_product_table_profile(self, pairs):
+        assert len(pairs) == 2112
+        for a, b in pairs:
+            d = Product(FiniteTable(a), FiniteTable(b))
+            table = product_table(a, b)
+            assert d.truncate(table.n) == table
+            assert predicates(d) == predicates(FiniteTable(table)), (a, b)
+
+    def test_non_clifford_count_of_a_product(self, pairs):
+        overlaps = 0
+        for a, b in pairs:
+            off_a = a.n - len(clifford_part(a))
+            off_b = b.n - len(clifford_part(b))
+            table = product_table(a, b)
+            assert table.n - len(clifford_part(table)) == \
+                off_a * b.n + a.n * off_b - off_a * off_b, (a, b)
+            overlaps += off_a * off_b > 0
+        # pairs where both sides have non-Clifford elements, so the
+        # overlap term is live
+        assert overlaps == 736
+
+    @pytest.mark.parametrize("node, build", [(AdjoinZero, adjoin_zero),
+                                             (AdjoinIdentity, adjoin_identity)])
+    def test_adjunction_profile_is_the_adjoined_table_profile(
+            self, corpus4, node, build):
+        for a in corpus4:
+            d = node(FiniteTable(a))
+            table = build(a)
+            assert d.truncate(table.n) == table
+            assert predicates(d) == predicates(FiniteTable(table)), a
