@@ -171,6 +171,9 @@ def commutative_tables(n, lex_least=False):
         op[i][j] = op[j][i] = flat[ij] = flat[ji] = -1
 
     fill(0)
+    # fill's closure holds fill itself; emptying it lets refcounting, not
+    # the cyclic collector, free the walk's state
+    del fill
     if lex_least:
         return out
     labeled = set(out)

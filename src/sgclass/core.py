@@ -207,10 +207,9 @@ def max_chain_length(table) -> tuple:
 
 def center(table) -> frozenset:
     """Elements commuting with everything; the full set iff commutative."""
-    n = table.n
+    # z commutes with everything iff its row equals its column
     op = table.op
-    return frozenset(z for z in range(n)
-                     if all(op[z][x] == op[x][z] for x in range(n)))
+    return frozenset(z for z, column in enumerate(zip(*op)) if op[z] == column)
 
 
 def h_class(table, a) -> frozenset:
@@ -276,9 +275,9 @@ def _first_idempotent(table, x, powers):
 def monogenic_data(table, x) -> MonogenicData:
     """Index, period and idempotent of the power sequence of x."""
     _check_element(table, x)
-    op = table.op
     powers = _powers(table, x)
-    start = powers.index(op[powers[-1]][x])
+    # the product _powers stopped at, x x^k, is one of the powers listed
+    start = powers.index(table.op[x][powers[-1]])
     pi = _first_idempotent(table, x, powers[start:])
     return MonogenicData(start + 1, len(powers) - start, pi)
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import _kernel
-from .core import (CayleyTable, _positive_int, center, h_classes, idempotents,
-                   pi_map)
-from .quotients import _quotient, congruences
+from .core import (CayleyTable, PreconditionError, _positive_int, center,
+                   h_classes, idempotents, pi_map)
+from .quotients import congruences
 
 MAX_ENUM_ORDER = 5
 
@@ -88,6 +89,18 @@ def _members(m):
     return tuple(x for x in range(m.bit_length()) if m >> x & 1)
 
 
+# one entry per set partition of at most MAX_CONGRUENCE_ORDER elements
+@lru_cache(maxsize=None)
+def _representatives(class_of):
+    """The least member of each class of the restricted-growth labels
+    class_of: the first element labeled k, for each k in turn."""
+    reps = []
+    for x, c in enumerate(class_of):
+        if c == len(reps):
+            reps.append(x)
+    return tuple(reps)
+
+
 def _check_root_absorption(table, facts):
     # products of the root set of a maximal subgroup (the x some power of
     # which lies in it) with the subgroup itself must stay inside it
@@ -103,26 +116,39 @@ def _check_root_absorption(table, facts):
     return None
 
 
+# The table is commutative, so the pair checks below fail at (x, y) exactly
+# when they fail at (y, x), for any facts: the first failure in row-major
+# order lies in the triangle x <= y, and only that triangle is read.
+
 def _check_pi_homomorphism(table, facts):
     pi = facts.pi
     op = table.op
     for x in table.elements:
-        for y in table.elements:
-            if pi[op[x][y]] != op[pi[x]][pi[y]]:
+        row = op[x]
+        image = op[pi[x]]
+        for y in range(x, table.n):
+            if pi[row[y]] != image[pi[y]]:
                 return "x=%d y=%d" % (x, y)
     return None
 
 
 def _check_h_class_products(table, facts):
+    # the triangle is over the positions of e and f in facts.idempotents,
+    # and over a <= b when both are the same position
     op = table.op
     es = facts.idempotents
     hs = facts.h_classes
-    for e in es:
-        for f in es:
-            target = hs[op[e][f]]
-            for a in _members(hs[e]):
-                for b in _members(hs[f]):
-                    if not target >> op[a][b] & 1:
+    for i, e in enumerate(es):
+        row = op[e]
+        he = _members(hs[e])
+        for j in range(i, len(es)):
+            f = es[j]
+            target = hs[row[f]]
+            hf = _members(hs[f])
+            for k, a in enumerate(he):
+                products = op[a]
+                for b in he[k:] if i == j else hf:
+                    if not target >> products[b] & 1:
                         return "e=%d f=%d a=%d b=%d" % (e, f, a, b)
     return None
 
@@ -132,9 +158,11 @@ def _check_pi_product_lower_bound(table, facts):
     pi = facts.pi
     op = table.op
     for x in table.elements:
-        for y in table.elements:
-            e = op[pi[x]][pi[y]]
-            f = pi[op[x][y]]
+        row = op[x]
+        image = op[pi[x]]
+        for y in range(x, table.n):
+            e = image[pi[y]]
+            f = pi[row[y]]
             if not op[e][f] == e == op[f][e]:
                 return "x=%d y=%d" % (x, y)
     return None
@@ -142,19 +170,25 @@ def _check_pi_product_lower_bound(table, facts):
 
 def _check_z_sets_ascending(table, facts):
     # layer k of z_sets(table, e, n + 2) holds the central z with z^(k+1) in
-    # the maximal subgroup at e; one bit of `layer` per central element
-    powers = [facts.powers[z] for z in facts.center]
-    for e in facts.idempotents:
-        he = facts.h_classes[e]
-        below = 0
-        for k in range(table.n + 2):
-            layer = 0
-            for seq in powers:
-                layer = layer << 1 | he >> seq[k] & 1
-            if k and below & ~layer:
-                return "e=%d k=%d" % (e, k)
-            below = layer
-    return None
+    # the maximal subgroup at e.  A layer loses z exactly where z^k lies in
+    # it and z^(k+1) does not, so each z's powers are read once, with bit i
+    # of owners[x] set when x lies in the subgroup at the i-th idempotent.
+    es = facts.idempotents
+    hs = facts.h_classes
+    owners = [0] * table.n
+    for i, e in enumerate(es):
+        for x in _members(hs[e]):
+            owners[x] |= 1 << i
+    lost = [0] * (table.n + 2)  # entry k: the i whose layer k loses a z
+    for z in facts.center:
+        seq = facts.powers[z]
+        for k in range(1, table.n + 2):
+            lost[k] |= owners[seq[k - 1]] & ~owners[seq[k]]
+    if not any(lost):
+        return None
+    i = min((m & -m).bit_length() - 1 for m in lost if m)
+    k = next(k for k, m in enumerate(lost) if m >> i & 1)
+    return "e=%d k=%d" % (es[i], k)
 
 
 def _check_quotient_idempotent_image(table, facts):
@@ -211,46 +245,72 @@ _SUITE = (
 SUITE_CHECK_NAMES = tuple(name for name, _ in _SUITE)
 
 
+# a passing check allocates nothing; only a failure carries its own result
+_PASSED = {name: CheckResult(name, True) for name, _ in _SUITE}
+
+
+def _quotient_cells(table, cong):
+    """The quotient of the table by one of its congruences, as its flat
+    row-major cells, and the projection onto its classes.
+
+    Class k stands as its least member, the first element labeled k, so
+    the cells are what `quotients._quotient` would put in a table.
+    """
+    cf = cong.class_of
+    reps = _representatives(cf)
+    op = table.op
+    return tuple([cf[op[a][b]] for a in reps for b in reps]), cf
+
+
 def lemma_suite(table, known=None) -> SuiteReport:
     """Run every structural check on one commutative table.
 
     Failures come back as data (name plus minimal counterexample), never
-    as exceptions, for tables of order up to quotients.MAX_CONGRUENCE_ORDER;
-    a larger table is refused with PreconditionError before any check runs.
+    as exceptions, for commutative tables of order up to
+    quotients.MAX_CONGRUENCE_ORDER.  A non-commutative table, or a larger
+    one, is refused with PreconditionError before any check runs; each
+    pair check then reads only the triangle x <= y of the table.
 
     The seven checks share one `_Facts`.  The idempotents and H-classes of
-    each distinct quotient table are computed once and kept in `known`, a
-    dict from quotient cells to their bitmasks; the table's own come from
-    there too, since it is its own quotient by the identity congruence.
-    Its pi map, center and powers are computed once per call.  A caller
-    that runs many tables, as `suite` does, passes one `known` to all of
-    them, so a quotient met again is not recomputed; without one, a fresh
-    dict serves this call alone.
+    each distinct quotient are computed once and kept in `known`, a dict
+    keyed by the quotient's flat cells (`_quotient_cells`) and holding its
+    bitmasks; a quotient table is built only when its cells are missing.
+    The table's own facts come from there too, as the entry its identity
+    congruence, the last one searched, finds.  Its pi map, center and
+    powers are computed once per call.  A caller that runs many tables, as
+    `suite` does, passes one `known` to all of them, so a quotient met
+    again is not recomputed; without one, a fresh dict serves this call
+    alone.
     """
     if known is None:
         known = {}
+    z = center(table)
+    if len(z) != table.n:
+        raise PreconditionError("the lemma suite requires a commutative table")
     # every congruence comes from congruences(table), so each quotient skips
     # quotient_by_congruence's compatibility check
     quotients = []
     for cong in congruences(table):
-        quotient, proj = _quotient(table, cong)
-        shared = known.get(quotient.op)
+        cells, proj = _quotient_cells(table, cong)
+        shared = known.get(cells)
         if shared is None:
-            shared = known[quotient.op] = (
+            quotient = _unflatten(cells, isqrt(len(cells)))
+            shared = known[cells] = (
                 sum(1 << e for e in idempotents(quotient)),
                 tuple(sum(1 << x for x in h) for h in h_classes(quotient)))
         quotients.append((cong, proj) + shared)
-    es, hs = known[table.op]
+    es, hs = shared  # the identity congruence's: the table's own
     powers = [[x] for x in table.elements]
     for seq, row in zip(powers, table.op):
         for _ in range(table.n + 1):
             seq.append(row[seq[-1]])
-    facts = _Facts(_members(es), hs, pi_map(table), powers,
-                   sorted(center(table)), quotients)
+    facts = _Facts(_members(es), hs, pi_map(table), powers, sorted(z),
+                   quotients)
     results = []
     for name, check in _SUITE:
         ce = check(table, facts)
-        results.append(CheckResult(name, ce is None, ce))
+        results.append(_PASSED[name] if ce is None
+                       else CheckResult(name, False, ce))
     return SuiteReport(table, tuple(results))
 
 

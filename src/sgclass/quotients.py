@@ -270,10 +270,12 @@ def congruences(table):
             for side in sides:
                 for row in side:
                     u, v = row[x], row[y]
-                    if u != v:
-                        if u > v:
-                            u, v = v, u
+                    if u > v:
+                        u, v = v, u
+                    # x ~ y always implies itself
+                    if u != v and (u != x or v != y):
                         due[max(y, v)].add((x, y, u, v))
+    due = [tuple(checks) for checks in due]
     label = [0] * n
     leaves = []
 
@@ -291,6 +293,9 @@ def congruences(table):
                 extend(i + 1, max(top, c))
 
     extend(0, -1)
+    # extend's closure holds extend itself; emptying it lets refcounting,
+    # not the cyclic collector, free the search state
+    del extend
     yield from leaves
 
 

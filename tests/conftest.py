@@ -71,10 +71,10 @@ def collapsed_projections(monkeypatch):
     Both quotient checks then fail on the two-element semilattice, at the
     identity congruence; the lift check also fails on the group of order 2.
     """
-    real = harness._quotient
+    real = harness._quotient_cells
 
     def collapsed(table, cong):
-        quotient, proj = real(table, cong)
-        return quotient, tuple(0 for _ in proj)
+        cells, proj = real(table, cong)
+        return cells, tuple(0 for _ in proj)
 
-    monkeypatch.setattr(harness, "_quotient", collapsed)
+    monkeypatch.setattr(harness, "_quotient_cells", collapsed)

@@ -9,9 +9,12 @@ The reference implementations the tests compare the package against:
 `relabel` (a permutation of the element indices, which `iso_class_count`
 also uses), `generated_ideal` and `rees_congruence` (ideals and the Rees
 congruence, as partitions `quotient_by_congruence` accepts),
-`subset_product` (one cell of the power semigroup, computed directly) and
+`subset_product` (one cell of the power semigroup, computed directly),
 `singleton_square_scan` (a largest A with AA a singleton, for the
-truncation rules of the singleton-square condition).
+truncation rules of the singleton-square condition), and the
+`*_failures` generators, which scan the whole square, or each idempotent
+in turn, for the four suite checks that read only a triangle or walk each
+element's powers once.
 """
 
 from itertools import permutations, product
@@ -20,6 +23,7 @@ from typing import Optional
 from sgclass.core import (CayleyTable, PreconditionError, _check_element,
                           _check_subset, _max_clique, validate)
 from sgclass.descriptors import OmegaChain
+from sgclass.harness import _members
 from sgclass.quotients import Congruence, _check_ideal
 
 MAX_NAIVE_ORDER = 3
@@ -178,3 +182,64 @@ def singleton_square_scan(table, max_subset=None) -> Optional[frozenset]:
     if len(best) < 2 or cap < 2:
         return None
     return frozenset(best[:cap])
+
+
+# The suite checks as full scans: each generator yields every
+# counterexample in the order the check meets them, so the first is the one
+# the check must report.  They read the same `harness._Facts`.
+
+def pi_homomorphism_failures(table, facts):
+    pi = facts.pi
+    op = table.op
+    for x in table.elements:
+        for y in table.elements:
+            if pi[op[x][y]] != op[pi[x]][pi[y]]:
+                yield "x=%d y=%d" % (x, y)
+
+
+def h_class_products_failures(table, facts):
+    op = table.op
+    es = facts.idempotents
+    hs = facts.h_classes
+    for e in es:
+        for f in es:
+            target = hs[op[e][f]]
+            for a in _members(hs[e]):
+                for b in _members(hs[f]):
+                    if not target >> op[a][b] & 1:
+                        yield "e=%d f=%d a=%d b=%d" % (e, f, a, b)
+
+
+def pi_product_lower_bound_failures(table, facts):
+    pi = facts.pi
+    op = table.op
+    for x in table.elements:
+        for y in table.elements:
+            e = op[pi[x]][pi[y]]
+            f = pi[op[x][y]]
+            if not op[e][f] == e == op[f][e]:
+                yield "x=%d y=%d" % (x, y)
+
+
+def z_sets_ascending_failures(table, facts):
+    # layer k of z_sets(table, e, n + 2) holds the central z with z^(k+1) in
+    # the maximal subgroup at e; one bit of `layer` per central element
+    powers = [facts.powers[z] for z in facts.center]
+    for e in facts.idempotents:
+        he = facts.h_classes[e]
+        below = 0
+        for k in range(table.n + 2):
+            layer = 0
+            for seq in powers:
+                layer = layer << 1 | he >> seq[k] & 1
+            if k and below & ~layer:
+                yield "e=%d k=%d" % (e, k)
+            below = layer
+
+
+SUITE_FAILURES = {
+    "pi-homomorphism": pi_homomorphism_failures,
+    "h-class-products": h_class_products_failures,
+    "pi-product-lower-bound": pi_product_lower_bound_failures,
+    "z-sets-ascending": z_sets_ascending_failures,
+}

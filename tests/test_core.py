@@ -233,6 +233,15 @@ class TestMonogenic:
                                                     "without an idempotent"):
             monogenic_data(NO_IDEMPOTENT_CYCLE, 0)
 
+    def test_refuses_a_non_associative_cycle_read_from_the_left(self):
+        # 0 x 0 = 1 and 0 x 1 = 0, so the powers of 0 cycle through 0, 1,
+        # neither idempotent; 1 x 0 = 2 is not among them, as only the
+        # left product x x^k builds them
+        table = CayleyTable([[1, 0, 0], [2, 0, 0], [0, 0, 0]])
+        with pytest.raises(PreconditionError, match="powers of 0 cycle "
+                                                    "without an idempotent"):
+            monogenic_data(table, 0)
+
     def test_invariants_on_corpus(self, corpus4):
         for table in corpus4:
             for x in table.elements:

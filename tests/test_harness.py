@@ -1,15 +1,17 @@
+import random
+
 import pytest
 
 from sgclass import _kernel, cli, harness
 from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import (CayleyTable, PreconditionError, chain_table,
-                          cyclic_table, idempotents, pi_map, taimanov_table,
-                          validate)
+                          cyclic_table, h_classes, idempotents, pi_map,
+                          taimanov_table, validate)
 from sgclass.harness import CheckResult, enumerate_commutative, lemma_suite
-from sgclass.quotients import _lift_idempotent, rees_quotient
+from sgclass.quotients import _lift_idempotent, _quotient, rees_quotient
 
-from oracles import (enumerate_commutative_naive, iso_class_count,
-                     labeled_tables, singleton_square_scan)
+from oracles import (SUITE_FAILURES, enumerate_commutative_naive,
+                     iso_class_count, labeled_tables, singleton_square_scan)
 
 
 class TestEnumerator:
@@ -133,27 +135,38 @@ class TestLemmaSuite:
         ]
 
 
-    def test_one_congruence_sweep_and_one_quotient_per_congruence(
+    def test_one_sweep_one_projection_per_congruence_one_table_per_quotient(
             self, corpus4, monkeypatch):
-        calls = {"congruences": 0, "quotients": 0}
+        calls = {"congruences": 0, "projections": 0, "tables": 0}
         real_congruences = harness.congruences
-        real_quotient = harness._quotient
+        real_cells = harness._quotient_cells
+        real_unflatten = harness._unflatten
 
         def counted_congruences(table):
             calls["congruences"] += 1
             return real_congruences(table)
 
-        def counted_quotient(table, cong):
-            calls["quotients"] += 1
-            return real_quotient(table, cong)
+        def counted_cells(table, cong):
+            calls["projections"] += 1
+            return real_cells(table, cong)
+
+        def counted_unflatten(flat, n):
+            calls["tables"] += 1
+            return real_unflatten(flat, n)
 
         monkeypatch.setattr(harness, "congruences", counted_congruences)
-        monkeypatch.setattr(harness, "_quotient", counted_quotient)
+        monkeypatch.setattr(harness, "_quotient_cells", counted_cells)
+        monkeypatch.setattr(harness, "_unflatten", counted_unflatten)
         for table in corpus4:
-            calls.update(congruences=0, quotients=0)
+            calls.update(congruences=0, projections=0, tables=0)
             assert lemma_suite(table).ok
-            assert calls == {"congruences": 1,
-                             "quotients": len(list(real_congruences(table)))}
+            congs = list(real_congruences(table))
+            quotients = {_quotient(table, c)[0].op for c in congs}
+            assert calls == {"congruences": 1, "projections": len(congs),
+                             "tables": len(quotients)}
+            # the cells are the quotient table's rows, flattened
+            assert {real_cells(table, c)[0] for c in congs} == \
+                {sum(q, ()) for q in quotients}
 
 
     def test_lifts_agree_with_lift_idempotent(self, corpus5):
@@ -182,7 +195,7 @@ class TestLemmaSuite:
         congruence_count = 0
         for table in corpus5:
             congs = list(harness.congruences(table))
-            quotients = {harness._quotient(table, c)[0].op for c in congs}
+            quotients = {_quotient(table, c)[0].op for c in congs}
             distinct[table.n] += len(quotients)
             congruence_count += len(congs)
             calls.update(h_classes=0, idempotents=0, pi_map=0)
@@ -197,7 +210,7 @@ class TestLemmaSuite:
     def test_each_fact_once_per_distinct_table_in_a_suite_run(
             self, corpus5, monkeypatch, capsys):
         # the tables and all their quotients, orders 1..5
-        distinct = {harness._quotient(table, cong)[0].op
+        distinct = {_quotient(table, cong)[0].op
                     for table in corpus5
                     for cong in harness.congruences(table)}
         assert len(distinct) == 446
@@ -215,6 +228,17 @@ class TestLemmaSuite:
         capsys.readouterr()
         # nothing is kept from one run to the next
         assert runs == [{"h_classes": 446, "idempotents": 446}] * 2
+
+    def test_refuses_a_non_commutative_table(self):
+        # associative, ab = 3 but ba = 0 for a = 1, b = 2; the idempotent 0
+        # is central, so every check would pass if the suite ran them
+        table = CayleyTable([[0, 0, 0, 0], [0, 0, 3, 0],
+                             [0, 0, 0, 0], [0, 0, 0, 0]])
+        report = validate(table)
+        assert report.associative and not report.commutative
+        with pytest.raises(PreconditionError,
+                           match=r"requires a commutative table"):
+            lemma_suite(table)
 
     def test_refuses_tables_past_the_congruence_order_before_any_check(
             self, monkeypatch):
@@ -358,6 +382,59 @@ class TestSuiteFailurePath:
         check = harness._check_pi_product_lower_bound
         assert check(CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
                      facts) == "x=1 y=2"
+
+
+def crafted_facts(table, rng):
+    """The table's own facts with some redrawn at random: the pi map at a
+    few elements, a few bits of the H-class masks (which then may overlap),
+    the idempotents (a random selection in random order) and the center."""
+    n = table.n
+    pi = list(pi_map(table))
+    for x in rng.sample(range(n), rng.randint(1, n)):
+        pi[x] = rng.randrange(n)
+    hs = [sum(1 << x for x in h) for h in h_classes(table)]
+    for x in rng.sample(range(n), rng.randint(1, n)):
+        hs[x] ^= 1 << rng.randrange(n)
+    es = sorted(idempotents(table)) + rng.sample(range(n), rng.randint(0, n))
+    es = rng.sample(sorted(set(es)), len(set(es)))
+    powers = [[x] for x in table.elements]
+    for seq, row in zip(powers, table.op):
+        for _ in range(n + 1):
+            seq.append(row[seq[-1]])
+    zs = sorted(rng.sample(range(n), rng.randint(1, n)))
+    return harness._Facts(tuple(es), tuple(hs), tuple(pi), powers, zs, None)
+
+
+class TestChecksAgainstFullScans:
+    """The checks that read a triangle, or each element's powers once,
+    against the full scans in tests/oracles.py."""
+
+    @staticmethod
+    def first(scan):
+        return lambda table, facts: next(scan(table, facts), None)
+
+    def test_the_suite_reports_what_the_full_scans_report(
+            self, corpus5, monkeypatch):
+        assert len(corpus5) == 399
+        fast = [lemma_suite(t).results for t in corpus5]
+        monkeypatch.setattr(harness, "_SUITE", tuple(
+            (name, self.first(SUITE_FAILURES[name])
+             if name in SUITE_FAILURES else check)
+            for name, check in harness._SUITE))
+        assert [lemma_suite(t).results for t in corpus5] == fast
+
+    @pytest.mark.parametrize("name", sorted(SUITE_FAILURES))
+    def test_each_check_reports_the_first_of_several_failures(
+            self, corpus4, name):
+        check = dict(harness._SUITE)[name]
+        rng = random.Random(20)
+        several = 0
+        for table in corpus4 * 10:
+            facts = crafted_facts(table, rng)
+            failures = list(SUITE_FAILURES[name](table, facts))
+            assert check(table, facts) == (failures[0] if failures else None)
+            several += len(failures) >= 2
+        assert several >= 200
 
 
 class TestSingletonSquareScan:

@@ -9,6 +9,7 @@ labeled output, the classes' relabelings, is checked against the row-wise
 `labeled_tables`, which shares no kernel code.
 """
 
+import gc
 import hashlib
 import random
 from functools import lru_cache
@@ -18,6 +19,8 @@ from math import factorial
 import pytest
 
 from sgclass._kernel import _relabelings, commutative_tables, is_canonical
+from sgclass.core import CayleyTable
+from sgclass.quotients import congruences
 
 from oracles import labeled_prefixes, labeled_tables
 
@@ -155,3 +158,20 @@ def test_orderly_emission_order_is_pinned():
     assert len(tables) == 2143
     assert emission_digest(tables) == (
         "cdf67f50e0a0a47a45d0fd0b19bd30defd763201487398a6c5d1d62f4f239b51")
+
+
+def test_the_walk_and_the_congruence_search_leave_no_cyclic_garbage():
+    # both recurse through a nested function that names itself; with that
+    # cycle broken, refcounting alone frees their state
+    tables = [CayleyTable._trusted([flat[i * 4:(i + 1) * 4] for i in range(4)])
+              for flat in classes(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, 6):
+            commutative_tables(n, lex_least=True)
+        for table in tables:
+            list(congruences(table))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
