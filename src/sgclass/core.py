@@ -37,10 +37,11 @@ class CayleyTable:
 
     `_trusted` skips the checks and is used only where every cell is in
     range by construction: the power-semigroup recurrence (cells are subset
-    indices), the enumeration kernel's tables, `parse_table` after it
-    has checked every row and entry, and the two quotient builders, whose
-    cells are class indices of a Rees projection or of a congruence that was
-    checked or yielded by `congruences()`.
+    indices), `parse_table` after it has checked every row and entry,
+    `rees_quotient` (cells are classes of a Rees projection), and
+    `_unflatten`, which builds the enumeration kernel's tables and the
+    congruence quotients of `quotients._quotient_cells` (cells are classes
+    of a congruence that was checked or yielded by `congruences()`).
     """
 
     __slots__ = ("n", "op")
@@ -83,6 +84,11 @@ class CayleyTable:
 
     def __repr__(self):
         return "CayleyTable(%r)" % ([list(r) for r in self.op],)
+
+
+def _unflatten(flat, n):
+    """The table of order n whose row-major cells are flat, unchecked."""
+    return CayleyTable._trusted([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -310,12 +316,8 @@ def z_sets(table, e, n_max) -> list:
     _check_idempotent(table, e)
     if not _positive_int(n_max):
         raise PreconditionError("n_max must be a positive integer")
-    return _z_sets(table, h_classes(table)[e], sorted(center(table)), n_max)
-
-
-def _z_sets(table, he, zc, n_max) -> list:
-    # z_sets past its checks, handed the maximal subgroup he at e and the
-    # sorted center zc
+    he = h_classes(table)[e]
+    zc = sorted(center(table))
     op = table.op
     out = []
     power = {z: z for z in zc}

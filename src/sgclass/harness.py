@@ -15,9 +15,9 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import _kernel
-from .core import (CayleyTable, PreconditionError, _positive_int, center,
-                   h_classes, idempotents, pi_map)
-from .quotients import congruences
+from .core import (CayleyTable, PreconditionError, _first_idempotent,
+                   _positive_int, _unflatten, center, h_classes, idempotents)
+from .quotients import _lifts, _quotient_cells, congruences
 
 MAX_ENUM_ORDER = 5
 
@@ -25,10 +25,6 @@ MAX_ENUM_ORDER = 5
 def kernel_backend() -> str:
     """The enumeration kernel in use; the only one is pure Python."""
     return "python"
-
-
-def _unflatten(flat, n):
-    return CayleyTable._trusted([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 def enumerate_commutative(n, up_to_iso=False):
@@ -79,7 +75,6 @@ class _Facts(NamedTuple):
     h_classes: tuple  # entry x: the H-class of x
     pi: tuple
     powers: list
-    center: list  # sorted
     quotients: list
 
 
@@ -87,18 +82,6 @@ class _Facts(NamedTuple):
 def _members(m):
     """The members of the bitmask m, ascending."""
     return tuple(x for x in range(m.bit_length()) if m >> x & 1)
-
-
-# one entry per set partition of at most MAX_CONGRUENCE_ORDER elements
-@lru_cache(maxsize=None)
-def _representatives(class_of):
-    """The least member of each class of the restricted-growth labels
-    class_of: the first element labeled k, for each k in turn."""
-    reps = []
-    for x, c in enumerate(class_of):
-        if c == len(reps):
-            reps.append(x)
-    return tuple(reps)
 
 
 def _check_root_absorption(table, facts):
@@ -169,10 +152,11 @@ def _check_pi_product_lower_bound(table, facts):
 
 
 def _check_z_sets_ascending(table, facts):
-    # layer k of z_sets(table, e, n + 2) holds the central z with z^(k+1) in
-    # the maximal subgroup at e.  A layer loses z exactly where z^k lies in
-    # it and z^(k+1) does not, so each z's powers are read once, with bit i
-    # of owners[x] set when x lies in the subgroup at the i-th idempotent.
+    # layer k of z_sets(table, e, n + 2) holds the z, all central in a
+    # commutative table, with z^(k+1) in the maximal subgroup at e.  A layer
+    # loses z exactly where z^k lies in it and z^(k+1) does not, so each z's
+    # powers are read once, with bit i of owners[x] set when x lies in the
+    # subgroup at the i-th idempotent.
     es = facts.idempotents
     hs = facts.h_classes
     owners = [0] * table.n
@@ -180,8 +164,7 @@ def _check_z_sets_ascending(table, facts):
         for x in _members(hs[e]):
             owners[x] |= 1 << i
     lost = [0] * (table.n + 2)  # entry k: the i whose layer k loses a z
-    for z in facts.center:
-        seq = facts.powers[z]
+    for seq in facts.powers:
         for k in range(1, table.n + 2):
             lost[k] |= owners[seq[k - 1]] & ~owners[seq[k]]
     if not any(lost):
@@ -200,18 +183,6 @@ def _check_quotient_idempotent_image(table, facts):
         if image != quotient_e:
             return "congruence %r" % (sorted(sorted(c) for c in cong.classes),)
     return None
-
-
-def _lifts(table, cong, es):
-    """Each idempotent class's lift, in one pass over the ascending
-    idempotents es, as the same product as `quotients._lift_idempotent`."""
-    op = table.op
-    cf = cong.class_of
-    lifts = {}
-    for e in es:
-        s = lifts.get(cf[e])
-        lifts[cf[e]] = e if s is None else op[s][e]
-    return lifts
 
 
 def _check_quotient_h_class_lift(table, facts):
@@ -249,19 +220,6 @@ SUITE_CHECK_NAMES = tuple(name for name, _ in _SUITE)
 _PASSED = {name: CheckResult(name, True) for name, _ in _SUITE}
 
 
-def _quotient_cells(table, cong):
-    """The quotient of the table by one of its congruences, as its flat
-    row-major cells, and the projection onto its classes.
-
-    Class k stands as its least member, the first element labeled k, so
-    the cells are what `quotients._quotient` would put in a table.
-    """
-    cf = cong.class_of
-    reps = _representatives(cf)
-    op = table.op
-    return tuple([cf[op[a][b]] for a in reps for b in reps]), cf
-
-
 def lemma_suite(table, known=None) -> SuiteReport:
     """Run every structural check on one commutative table.
 
@@ -271,21 +229,23 @@ def lemma_suite(table, known=None) -> SuiteReport:
     one, is refused with PreconditionError before any check runs; each
     pair check then reads only the triangle x <= y of the table.
 
-    The seven checks share one `_Facts`.  The idempotents and H-classes of
-    each distinct quotient are computed once and kept in `known`, a dict
-    keyed by the quotient's flat cells (`_quotient_cells`) and holding its
-    bitmasks; a quotient table is built only when its cells are missing.
-    The table's own facts come from there too, as the entry its identity
-    congruence, the last one searched, finds.  Its pi map, center and
-    powers are computed once per call.  A caller that runs many tables, as
-    `suite` does, passes one `known` to all of them, so a quotient met
-    again is not recomputed; without one, a fresh dict serves this call
-    alone.
+    The seven checks share one `_Facts`.  Each quotient's cells come from
+    `quotients._quotient_cells`, the builder `quotient_by_congruence` uses,
+    and each lift from `quotients._lifts`, as `lift_idempotent` reads it.
+    The idempotents and H-classes of each distinct quotient are computed
+    once and kept in `known`, a dict keyed by the quotient's flat cells and
+    holding its bitmasks; a quotient table is built only when its cells are
+    missing.  The table's own facts come from there too, as the entry its
+    identity congruence, the last one searched, finds.  Its powers are
+    walked once per call, and its pi map is read from them with
+    `core._first_idempotent`, as `pi_map` reads it.  A caller that runs
+    many tables, as `suite` does, passes one `known` to all of them, so a
+    quotient met again is not recomputed; without one, a fresh dict serves
+    this call alone.
     """
     if known is None:
         known = {}
-    z = center(table)
-    if len(z) != table.n:
+    if len(center(table)) != table.n:
         raise PreconditionError("the lemma suite requires a commutative table")
     # every congruence comes from congruences(table), so each quotient skips
     # quotient_by_congruence's compatibility check
@@ -304,8 +264,8 @@ def lemma_suite(table, known=None) -> SuiteReport:
     for seq, row in zip(powers, table.op):
         for _ in range(table.n + 1):
             seq.append(row[seq[-1]])
-    facts = _Facts(_members(es), hs, pi_map(table), powers, sorted(z),
-                   quotients)
+    pi = tuple(_first_idempotent(table, x, seq) for x, seq in enumerate(powers))
+    facts = _Facts(_members(es), hs, pi, powers, quotients)
     results = []
     for name, check in _SUITE:
         ce = check(table, facts)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .core import (CayleyTable, PreconditionError, _check_element,
-                   _check_subset, center, idempotents)
+                   _check_subset, _unflatten, center, idempotents)
 
 # 6 so that the tests can run the suite over the order-6 classes, one past
 # the CLI suite's frontier of 5; the cost of the pruned search is not what
@@ -173,23 +171,28 @@ def quotient_by_congruence(table, cong) -> tuple:
 
     The projection (element -> class index) is a homomorphism by
     construction once compatibility holds; incompatible partitions are
-    rejected with a witnessing pair.
+    rejected with a witnessing pair.  The table is built from
+    `_quotient_cells`, the one quotient builder.
     """
     _check_congruence(table, cong)
-    return _quotient(table, cong)
+    cells, proj = _quotient_cells(table, cong)
+    return _unflatten(cells, max(proj) + 1), proj
 
 
-def _quotient(table, cong) -> tuple:
-    # quotient_by_congruence past its check, for a congruence of the table;
-    # the least member of class k is the first element labeled k
+def _quotient_cells(table, cong) -> tuple:
+    """The quotient of the table by one of its congruences, as its flat
+    row-major cells, and the projection onto its classes.
+
+    No compatibility check: the congruence must be one of the table's.
+    Class k stands as its least member, the first element labeled k.
+    """
     cf = cong.class_of
     reps = []
     for x, c in enumerate(cf):
         if c == len(reps):
             reps.append(x)
     op = table.op
-    rows = [[cf[op[a][b]] for b in reps] for a in reps]
-    return CayleyTable._trusted(rows), cf
+    return tuple([cf[op[a][b]] for a in reps for b in reps]), cf
 
 
 def rees_quotient(table, ideal) -> tuple:
@@ -223,18 +226,25 @@ def lift_idempotent(table, cong, e_class) -> int:
     if len(center(table)) != table.n:
         raise PreconditionError("idempotent lifting requires a commutative table")
     _check_congruence(table, cong)
-    if not 0 <= e_class < len(cong.classes):
+    if (not isinstance(e_class, int) or isinstance(e_class, bool)
+            or not 0 <= e_class < len(cong.classes)):
         raise PreconditionError("class index %r out of range" % (e_class,))
-    return _lift_idempotent(table, cong, e_class, idempotents(table))
-
-
-def _lift_idempotent(table, cong, e_class, idem) -> int:
-    # lift_idempotent past its checks, handed the table's idempotents
-    cf = cong.class_of
-    candidates = sorted(e for e in idem if cf[e] == e_class)
-    if not candidates:
+    lifts = _lifts(table, cong, sorted(idempotents(table)))
+    if e_class not in lifts:
         raise PreconditionError("class %d is not idempotent in the quotient" % e_class)
-    return reduce(lambda s, e: table.op[s][e], candidates)
+    return lifts[e_class]
+
+
+def _lifts(table, cong, es) -> dict:
+    """Each idempotent class's lift, keyed by class: the product of the
+    idempotents in it, in one pass over the ascending idempotents es."""
+    op = table.op
+    cf = cong.class_of
+    lifts = {}
+    for e in es:
+        s = lifts.get(cf[e])
+        lifts[cf[e]] = e if s is None else op[s][e]
+    return lifts
 
 
 def congruences(table):

@@ -222,15 +222,15 @@ def pi_product_lower_bound_failures(table, facts):
 
 
 def z_sets_ascending_failures(table, facts):
-    # layer k of z_sets(table, e, n + 2) holds the central z with z^(k+1) in
-    # the maximal subgroup at e; one bit of `layer` per central element
-    powers = [facts.powers[z] for z in facts.center]
+    # layer k of z_sets(table, e, n + 2) holds the z with z^(k+1) in the
+    # maximal subgroup at e, every z being central; one bit of `layer` per
+    # element
     for e in facts.idempotents:
         he = facts.h_classes[e]
         below = 0
         for k in range(table.n + 2):
             layer = 0
-            for seq in powers:
+            for seq in facts.powers:
                 layer = layer << 1 | he >> seq[k] & 1
             if k and below & ~layer:
                 yield "e=%d k=%d" % (e, k)

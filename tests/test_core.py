@@ -9,7 +9,6 @@ from sgclass import (CayleyTable, MalformedTableError, PreconditionError,
                      max_chain_length, monogenic_data, natural_le, null_table,
                      pi_map, product_table, restrict, root_inf,
                      taimanov_table, validate, z_sets)
-from sgclass.core import _z_sets
 
 from oracles import relabel
 
@@ -331,15 +330,6 @@ class TestZSets:
     def test_rejects_a_non_idempotent(self, t5):
         with pytest.raises(PreconditionError, match="not idempotent"):
             z_sets(t5, 2, 1)
-
-    def test_unchecked_form_matches(self, corpus4):
-        # _z_sets, handed the maximal subgroup and the sorted center
-        for table in corpus4:
-            hs = h_classes(table)
-            zc = sorted(center(table))
-            for e in idempotents(table):
-                for k in (1, table.n + 2):
-                    assert _z_sets(table, hs[e], zc, k) == z_sets(table, e, k)
 
     def test_matches_power_oracle(self, z4, t5):
         for table in (z4, t5):

@@ -8,7 +8,7 @@ from sgclass.core import (CayleyTable, PreconditionError, chain_table,
                           cyclic_table, h_classes, idempotents, pi_map,
                           taimanov_table, validate)
 from sgclass.harness import CheckResult, enumerate_commutative, lemma_suite
-from sgclass.quotients import _lift_idempotent, _quotient, rees_quotient
+from sgclass.quotients import quotient_by_congruence, rees_quotient
 
 from oracles import (SUITE_FAILURES, enumerate_commutative_naive,
                      iso_class_count, labeled_tables, singleton_square_scan)
@@ -161,7 +161,7 @@ class TestLemmaSuite:
             calls.update(congruences=0, projections=0, tables=0)
             assert lemma_suite(table).ok
             congs = list(real_congruences(table))
-            quotients = {_quotient(table, c)[0].op for c in congs}
+            quotients = {quotient_by_congruence(table, c)[0].op for c in congs}
             assert calls == {"congruences": 1, "projections": len(congs),
                              "tables": len(quotients)}
             # the cells are the quotient table's rows, flattened
@@ -169,23 +169,9 @@ class TestLemmaSuite:
                 {sum(q, ()) for q in quotients}
 
 
-    def test_lifts_agree_with_lift_idempotent(self, corpus5):
-        # every idempotent class of every quotient, orders 1..5
-        lifted = 0
-        for table in corpus5:
-            idem = idempotents(table)
-            for cong in harness.congruences(table):
-                lifts = harness._lifts(table, cong, sorted(idem))
-                classes = {cong.class_of[e] for e in idem}
-                assert sorted(lifts) == sorted(classes)
-                for e_class, s in lifts.items():
-                    assert s == _lift_idempotent(table, cong, e_class, idem)
-                lifted += len(lifts)
-        assert lifted == 8327
-
     def test_each_fact_once_per_table_and_per_distinct_quotient(
             self, corpus5, monkeypatch):
-        calls = {"h_classes": 0, "idempotents": 0, "pi_map": 0}
+        calls = {"h_classes": 0, "idempotents": 0}
         for name in calls:
             def counted(table, real=getattr(harness, name), name=name):
                 calls[name] += 1
@@ -195,22 +181,22 @@ class TestLemmaSuite:
         congruence_count = 0
         for table in corpus5:
             congs = list(harness.congruences(table))
-            quotients = {_quotient(table, c)[0].op for c in congs}
+            quotients = {quotient_by_congruence(table, c)[0].op for c in congs}
             distinct[table.n] += len(quotients)
             congruence_count += len(congs)
-            calls.update(h_classes=0, idempotents=0, pi_map=0)
+            calls.update(h_classes=0, idempotents=0)
             assert lemma_suite(table).ok
             # the table is its own quotient by the identity congruence
             assert table.op in quotients
             assert calls == {"h_classes": len(quotients),
-                             "idempotents": len(quotients), "pi_map": 1}
+                             "idempotents": len(quotients)}
         assert distinct == {1: 1, 2: 6, 3: 40, 4: 310, 5: 2805}
         assert congruence_count == 4549
 
     def test_each_fact_once_per_distinct_table_in_a_suite_run(
             self, corpus5, monkeypatch, capsys):
         # the tables and all their quotients, orders 1..5
-        distinct = {_quotient(table, cong)[0].op
+        distinct = {quotient_by_congruence(table, cong)[0].op
                     for table in corpus5
                     for cong in harness.congruences(table)}
         assert len(distinct) == 446
@@ -371,7 +357,7 @@ class TestSuiteFailurePath:
         # with the subgroup at 0 in Z2 claimed as {0}, 1 has its even
         # powers in it but not its odd ones
         facts = self.facts(idempotents=(0,), h_classes=(0b01, 0b10),
-                           powers=((0, 0, 0, 0), (1, 0, 1, 0)), center=[0, 1])
+                           powers=((0, 0, 0, 0), (1, 0, 1, 0)))
         check = harness._check_z_sets_ascending
         assert check(cyclic_table(2), facts) == "e=0 k=2"
 
@@ -387,7 +373,7 @@ class TestSuiteFailurePath:
 def crafted_facts(table, rng):
     """The table's own facts with some redrawn at random: the pi map at a
     few elements, a few bits of the H-class masks (which then may overlap),
-    the idempotents (a random selection in random order) and the center."""
+    and the idempotents (a random selection in random order)."""
     n = table.n
     pi = list(pi_map(table))
     for x in rng.sample(range(n), rng.randint(1, n)):
@@ -401,8 +387,7 @@ def crafted_facts(table, rng):
     for seq, row in zip(powers, table.op):
         for _ in range(n + 1):
             seq.append(row[seq[-1]])
-    zs = sorted(rng.sample(range(n), rng.randint(1, n)))
-    return harness._Facts(tuple(es), tuple(hs), tuple(pi), powers, zs, None)
+    return harness._Facts(tuple(es), tuple(hs), tuple(pi), powers, None)
 
 
 class TestChecksAgainstFullScans:

@@ -271,12 +271,13 @@ class TestLiftIdempotent:
                         h_class(quotient, e_class)
 
 
-    def test_oracle_least_idempotent_of_every_class(self, corpus4):
+    def test_oracle_least_idempotent_of_every_class(self, corpus5):
         # brute force, independent of any quotient: the lift is the
         # idempotent of the class below every other one in the natural
-        # order; a class with no idempotent and a class index past the
-        # last are refused
-        for table in corpus4:
+        # order; a class with no idempotent and a class index that is not
+        # an int in range are refused
+        lifted = 0
+        for table in corpus5:
             op = table.op
             es = idempotents(table)
             for cong in congruences(table):
@@ -290,9 +291,11 @@ class TestLiftIdempotent:
                     s = lift_idempotent(table, cong, e_class)
                     assert s in inside
                     assert all(op[s][f] == s for f in inside)
-                for bad in (-1, len(cong.classes)):
+                    lifted += 1
+                for bad in (-1, len(cong.classes), True, 1.0, "1"):
                     with pytest.raises(PreconditionError, match="out of range"):
                         lift_idempotent(table, cong, bad)
+        assert lifted == 8327
 
 
 class TestReesComposition:
