@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 
@@ -39,9 +40,10 @@ class CayleyTable:
     range by construction: the power-semigroup recurrence (cells are subset
     indices), `parse_table` after it has checked every row and entry,
     `rees_quotient` (cells are classes of a Rees projection), and
-    `_unflatten`, which builds the enumeration kernel's tables and the
-    congruence quotients of `quotients._quotient_cells` (cells are classes
-    of a congruence that was checked or yielded by `congruences()`).
+    `_unflatten`, which reads the order off the number of cells and builds
+    the enumeration kernel's tables and the congruence quotients of
+    `quotients._quotient_cells` (cells are classes of a congruence that was
+    checked or yielded by `congruences()`).
     """
 
     __slots__ = ("n", "op")
@@ -86,9 +88,25 @@ class CayleyTable:
         return "CayleyTable(%r)" % ([list(r) for r in self.op],)
 
 
-def _unflatten(flat, n):
-    """The table of order n whose row-major cells are flat, unchecked."""
+def _unflatten(flat):
+    """The table whose row-major cells are flat, unchecked; its order is
+    the square root of the number of cells."""
+    n = math.isqrt(len(flat))
     return CayleyTable._trusted([flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _mask(xs):
+    """The int bitmask of the ints xs: bit x set for each x among them."""
+    m = 0
+    for x in xs:
+        m |= 1 << x
+    return m
+
+
+@lru_cache(maxsize=None)  # the masks stay below 2**power.MAX_BASE_ORDER
+def _members(m):
+    """The members of the bitmask m, ascending."""
+    return tuple(x for x in range(m.bit_length()) if m >> x & 1)
 
 
 @dataclass(frozen=True)

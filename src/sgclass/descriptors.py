@@ -14,7 +14,7 @@ of `Semilattice`:
 
 is `(product (group (cyclic 2)) (semilattice chain-omega))`.
 
-Descriptor expressions (`parse_descriptor`, `render_descriptor`):
+Descriptor expressions (`parse_descriptor`):
 
     desc   := "(" ( "table" PATH | "group" factor+ | "semilattice" slspec
                   | "product" desc desc | "adjoin-zero" desc
@@ -197,14 +197,16 @@ CONDITIONS = {
 class Descriptor:
     """Base of the constructors.  Each node knows its nesting depth (a leaf
     is 1) as the attribute `depth`, kept outside the dataclass fields so
-    that ==, hash() and repr() ignore it.  Each constructor class holds its
-    rules: `profile()`, whose witnesses name the leftmost deciding child,
-    and `truncate(budget)`, a subsemigroup of at most `budget` elements."""
+    that ==, hash() and repr() ignore it.  A constructor with a head in
+    CONSTRUCTORS takes descriptors as all its fields and refuses anything
+    else.  Each constructor class holds its rules: `profile()`, whose
+    witnesses name the leftmost deciding child, and `truncate(budget)`, a
+    subsemigroup of at most `budget` elements."""
 
     def __post_init__(self):
-        children = [getattr(self, f.name) for f in fields(self)]
-        depth = 1 + max((c.depth for c in children
-                         if isinstance(c, Descriptor)), default=0)
+        children = ([_descriptor(getattr(self, f.name)) for f in fields(self)]
+                    if type(self) in _HEADS else ())
+        depth = 1 + max((c.depth for c in children), default=0)
         if depth > MAX_DEPTH:
             raise ValueError("descriptor nested deeper than %d levels"
                              % MAX_DEPTH)
@@ -501,8 +503,8 @@ class Null(Descriptor):
 
 # -- syntax ------------------------------------------------------------------
 # One head keyword per constructor whose children are all descriptors: the
-# children are the dataclass fields, in order.  The parser, the renderer and
-# `describe` all read these two tables.
+# children are the dataclass fields, in order.  The parser and `describe`
+# both read these two tables.
 
 CONSTRUCTORS = {
     "product": Product,
@@ -520,34 +522,23 @@ SEMILATTICE_WORDS = {
 _WORDS = {cls: word for word, cls in SEMILATTICE_WORDS.items()}
 
 
-def spell(d, leaf) -> str:
-    """Descriptor text; `leaf` spells FiniteTable and FinitePoset leaves."""
+def describe(d) -> str:
+    """Compact human-readable form (no file paths needed)."""
     head = _HEADS.get(type(d))
     if head is not None:
         parts = [head]
         for f in fields(d):
-            parts.append(spell(getattr(d, f.name), leaf))
+            parts.append(describe(getattr(d, f.name)))
         return "(%s)" % " ".join(parts)
     if isinstance(d, FiniteTable):
-        return leaf(d)
+        return d.path if d.path else "finite table (n=%d)" % d.table.n
     if isinstance(d, Group):
         return "(group %s)" % " ".join(f.text() for f in d.factors)
     if isinstance(d, FinitePoset):
-        return "(semilattice %s)" % leaf(d)
+        return "(semilattice poset n=%d)" % d.table.n
     if type(d) in _WORDS:
         return "(semilattice %s)" % _WORDS[type(d)]
     raise TypeError("not a descriptor: %r" % (d,))
-
-
-def _describe_leaf(x):
-    if isinstance(x, FinitePoset):
-        return "poset n=%d" % x.table.n
-    return x.path if x.path else "finite table (n=%d)" % x.table.n
-
-
-def describe(d) -> str:
-    """Compact human-readable form (no file paths needed)."""
-    return spell(d, _describe_leaf)
 
 
 class DescriptorSyntaxError(ValueError):
@@ -711,18 +702,6 @@ def parse_descriptor(text):
         tok, line, col = tk.take()
         raise DescriptorSyntaxError("trailing input %r" % tok, line, col)
     return desc
-
-
-def _render_leaf(x):
-    word = "poset" if isinstance(x, FinitePoset) else "table"
-    if x.path is None:
-        raise ValueError("cannot render a %s descriptor without a path" % word)
-    return "(%s %s)" % (word, x.path)
-
-
-def render_descriptor(d) -> str:
-    """Canonical text for a parsed descriptor; fixed under parse+render."""
-    return spell(d, _render_leaf)
 
 
 def _descriptor(d):

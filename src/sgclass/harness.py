@@ -10,13 +10,12 @@ everything built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import _kernel
-from .core import (CayleyTable, PreconditionError, _first_idempotent,
-                   _positive_int, _unflatten, center, h_classes, idempotents)
+from .core import (CayleyTable, PreconditionError, _first_idempotent, _mask,
+                   _members, _positive_int, _unflatten, center, h_classes,
+                   idempotents)
 from .quotients import _lifts, _quotient_cells, congruences
 
 MAX_ENUM_ORDER = 5
@@ -40,7 +39,7 @@ def enumerate_commutative(n, up_to_iso=False):
     if not _positive_int(n) or n > MAX_ENUM_ORDER:
         raise ValueError("order must be an integer in 1..%d" % MAX_ENUM_ORDER)
     for flat in _kernel.commutative_tables(n, lex_least=up_to_iso):
-        yield _unflatten(flat, n)
+        yield _unflatten(flat)
 
 
 @dataclass(frozen=True)
@@ -78,17 +77,11 @@ class _Facts(NamedTuple):
     quotients: list
 
 
-@lru_cache(maxsize=None)  # the masks stay below 2**MAX_CONGRUENCE_ORDER
-def _members(m):
-    """The members of the bitmask m, ascending."""
-    return tuple(x for x in range(m.bit_length()) if m >> x & 1)
-
-
 def _check_root_absorption(table, facts):
     # products of the root set of a maximal subgroup (the x some power of
     # which lies in it) with the subgroup itself must stay inside it
     op = table.op
-    reach = [sum(1 << p for p in set(seq)) for seq in facts.powers]
+    reach = [_mask(seq) for seq in facts.powers]
     for e in facts.idempotents:
         he = facts.h_classes[e]
         for x in range(table.n):
@@ -254,10 +247,9 @@ def lemma_suite(table, known=None) -> SuiteReport:
         cells, proj = _quotient_cells(table, cong)
         shared = known.get(cells)
         if shared is None:
-            quotient = _unflatten(cells, isqrt(len(cells)))
-            shared = known[cells] = (
-                sum(1 << e for e in idempotents(quotient)),
-                tuple(sum(1 << x for x in h) for h in h_classes(quotient)))
+            quotient = _unflatten(cells)
+            shared = known[cells] = (_mask(idempotents(quotient)),
+                                     tuple(map(_mask, h_classes(quotient))))
         quotients.append((cong, proj) + shared)
     es, hs = shared  # the identity congruence's: the table's own
     powers = [[x] for x in table.elements]

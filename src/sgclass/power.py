@@ -9,30 +9,12 @@ index i holds the subset with mask i + 1.
 from __future__ import annotations
 
 from .core import (CayleyTable, PreconditionError, _check_element,
-                   _check_subset)
+                   _check_subset, _mask, _members)
 
 # The table has (2^n - 1)^2 cells, so each order quadruples the memory: at
 # order 12 (about 1.7e7 cells) `sgclass power --json` peaks near 1.2 GB on
 # 64-bit CPython 3.11.
 MAX_BASE_ORDER = 12
-
-
-def _mask_of(subset):
-    mask = 0
-    for x in subset:
-        mask |= 1 << x
-    return mask
-
-
-def _subset_of(mask):
-    out = []
-    b = 0
-    while mask:
-        if mask & 1:
-            out.append(b)
-        mask >>= 1
-        b += 1
-    return frozenset(out)
 
 
 class PowerSemigroup:
@@ -49,7 +31,7 @@ class PowerSemigroup:
         subset = _check_subset(self.base, subset)
         if not subset:
             raise PreconditionError("the empty set is not an element")
-        return _mask_of(subset) - 1
+        return _mask(subset) - 1
 
     def singleton_index(self, x) -> int:
         _check_element(self.base, x)
@@ -96,7 +78,7 @@ def power_semigroup(base) -> PowerSemigroup:
         else:
             rows.append(tuple([((a + 1) | b) - 1
                                for a, b in zip(rows[mu - low - 1], image)]))
-    elements = tuple(map(_subset_of, range(1, size + 1)))
+    elements = tuple(frozenset(_members(m)) for m in range(1, size + 1))
     return PowerSemigroup(base, elements, CayleyTable._trusted(rows))
 
 

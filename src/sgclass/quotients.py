@@ -68,7 +68,8 @@ class Congruence:
     @classmethod
     def _trusted(cls, class_of):
         # class_of: a tuple of restricted-growth labels, as `congruences()`
-        # builds them at each leaf of its search
+        # builds them at each leaf of its search and `congruence_closure`
+        # from its union-find roots
         self = object.__new__(cls)
         self.class_of = class_of
         return self
@@ -134,10 +135,11 @@ def congruence_closure(table, pairs) -> Congruence:
         for a in range(n):
             work.append((op[a][x], op[a][y]))
             work.append((op[x][a], op[y][a]))
-    groups = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return Congruence(groups.values())
+    # numbering the roots as their classes first appear in 0..n-1 gives the
+    # restricted-growth labels
+    roots = {}
+    return Congruence._trusted(
+        tuple([roots.setdefault(find(x), len(roots)) for x in range(n)]))
 
 
 def congruence_violation(table, cong):
@@ -176,7 +178,7 @@ def quotient_by_congruence(table, cong) -> tuple:
     """
     _check_congruence(table, cong)
     cells, proj = _quotient_cells(table, cong)
-    return _unflatten(cells, max(proj) + 1), proj
+    return _unflatten(cells), proj
 
 
 def _quotient_cells(table, cong) -> tuple:
@@ -227,7 +229,7 @@ def lift_idempotent(table, cong, e_class) -> int:
         raise PreconditionError("idempotent lifting requires a commutative table")
     _check_congruence(table, cong)
     if (not isinstance(e_class, int) or isinstance(e_class, bool)
-            or not 0 <= e_class < len(cong.classes)):
+            or not 0 <= e_class < max(cong.class_of) + 1):
         raise PreconditionError("class index %r out of range" % (e_class,))
     lifts = _lifts(table, cong, sorted(idempotents(table)))
     if e_class not in lifts:

@@ -11,19 +11,21 @@ also uses), `generated_ideal` and `rees_congruence` (ideals and the Rees
 congruence, as partitions `quotient_by_congruence` accepts),
 `subset_product` (one cell of the power semigroup, computed directly),
 `singleton_square_scan` (a largest A with AA a singleton, for the
-truncation rules of the singleton-square condition), and the
-`*_failures` generators, which scan the whole square, or each idempotent
-in turn, for the four suite checks that read only a triangle or walk each
-element's powers once.
+truncation rules of the singleton-square condition), `render_descriptor`
+(the canonical text of a parsed descriptor, which parses back to it), and
+the `*_failures` generators, which scan the whole square, or each
+idempotent in turn, for the four suite checks that read only a triangle or
+walk each element's powers once.
 """
 
+from dataclasses import fields
 from itertools import permutations, product
 from typing import Optional
 
 from sgclass.core import (CayleyTable, PreconditionError, _check_element,
-                          _check_subset, _max_clique, validate)
-from sgclass.descriptors import OmegaChain
-from sgclass.harness import _members
+                          _check_subset, _max_clique, _members, validate)
+from sgclass.descriptors import (CONSTRUCTORS, SEMILATTICE_WORDS, FinitePoset,
+                                 FiniteTable, Group, OmegaChain)
 from sgclass.quotients import Congruence, _check_ideal
 
 MAX_NAIVE_ORDER = 3
@@ -182,6 +184,33 @@ def singleton_square_scan(table, max_subset=None) -> Optional[frozenset]:
     if len(best) < 2 or cap < 2:
         return None
     return frozenset(best[:cap])
+
+
+_HEADS = {cls: head for head, cls in CONSTRUCTORS.items()}
+_WORDS = {cls: word for word, cls in SEMILATTICE_WORDS.items()}
+
+
+def _render_leaf(word, leaf):
+    if leaf.path is None:
+        raise ValueError("cannot render a %s descriptor without a path" % word)
+    return "(%s %s)" % (word, leaf.path)
+
+
+def render_descriptor(d) -> str:
+    """Canonical text for a parsed descriptor; fixed under parse+render.
+    Table and poset leaves are spelled by the paths they were loaded from."""
+    if type(d) in _HEADS:
+        children = [render_descriptor(getattr(d, f.name)) for f in fields(d)]
+        return "(%s)" % " ".join([_HEADS[type(d)]] + children)
+    if isinstance(d, FiniteTable):
+        return _render_leaf("table", d)
+    if isinstance(d, Group):
+        return "(group %s)" % " ".join(f.text() for f in d.factors)
+    if isinstance(d, FinitePoset):
+        return "(semilattice %s)" % _render_leaf("poset", d)
+    if type(d) in _WORDS:
+        return "(semilattice %s)" % _WORDS[type(d)]
+    raise TypeError("not a descriptor: %r" % (d,))
 
 
 # The suite checks as full scans: each generator yields every

@@ -19,8 +19,9 @@ from sgclass.core import (TableParseError, chain_table, cyclic_table,
 from sgclass.descriptors import (CONSTRUCTORS, MAX_DEPTH, OMEGA,
                                  SEMILATTICE_WORDS, DescriptorSyntaxError,
                                  Factor, FiniteTable, Group, Product,
-                                 Semilattice, Taimanov, parse_descriptor,
-                                 render_descriptor)
+                                 Semilattice, Taimanov, parse_descriptor)
+
+from oracles import render_descriptor
 
 L3_TEXT = "3\n0 0 0\n0 1 1\n0 1 2\n"
 

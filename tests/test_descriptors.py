@@ -14,10 +14,9 @@ from sgclass.descriptors import (MAX_DEPTH, OMEGA, AdjoinIdentity, AdjoinZero,
                                  Descriptor, Factor, FinitePoset, FiniteTable,
                                  Group, Null, OmegaAntichainZero, OmegaChain,
                                  Product, Semilattice, Taimanov, describe,
-                                 evaluate, is_prime, render_descriptor,
-                                 truncate)
+                                 evaluate, is_prime, truncate)
 
-from oracles import relabel, singleton_square_scan
+from oracles import relabel, render_descriptor, singleton_square_scan
 
 
 def group_of(*factors):
@@ -181,6 +180,26 @@ class TestNotADescriptor:
 
     def test_truncate_refuses_the_base_classes(self):
         self.refuses_the_base_classes(lambda d: truncate(d, 4))
+
+    # a constructor refuses such a child itself, before any entry point
+    # meets the tree
+
+    @pytest.mark.parametrize("build, bad", [
+        (lambda x: Product(x, Null()), 1),
+        (lambda x: Product(Null(), x), 1),
+        (lambda x: Product(Null(), x), Descriptor()),
+        (lambda x: Product(x, Null()), Semilattice()),
+        (AdjoinZero, "x"),
+        (AdjoinZero, Descriptor()),
+        (AdjoinIdentity, Factor("cyclic", 2)),
+        (AdjoinIdentity, Semilattice()),
+    ], ids=["product-left-int", "product-right-int", "product-base",
+            "product-semilattice-base", "zero-str", "zero-base",
+            "identity-spec", "identity-semilattice-base"])
+    def test_constructors_refuse_children(self, build, bad):
+        with pytest.raises(TypeError) as exc:
+            build(bad)
+        assert str(exc.value) == "not a descriptor: %r" % (bad,)
 
 
 class TestCardinality:

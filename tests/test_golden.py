@@ -37,8 +37,10 @@ from sgclass.cli import main
 from sgclass.core import (CayleyTable, adjoin_zero, antichain_zero_table,
                           chain_table, cyclic_table, null_table,
                           product_table, render_table, taimanov_table)
-from sgclass.descriptors import parse_descriptor, render_descriptor, truncate
+from sgclass.descriptors import parse_descriptor, truncate
 from sgclass.harness import enumerate_commutative
+
+from oracles import render_descriptor
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_classify.json")
 GOLDEN_TABLES = pathlib.Path(__file__).with_name("golden_tables.json")

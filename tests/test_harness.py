@@ -70,7 +70,7 @@ class TestEnumerator:
     def test_orbit_count_agrees_with_canonical_rejection_at_order_4(self):
         # orbit sweeping over the row-wise labeled tables is independent of
         # the canonical-form kernel
-        tables = [harness._unflatten(f, 4) for f in labeled_tables(4)]
+        tables = [harness._unflatten(f) for f in labeled_tables(4)]
         assert iso_class_count(tables) == 58
 
     def test_representatives_are_canonical_and_cover(self):
@@ -150,9 +150,9 @@ class TestLemmaSuite:
             calls["projections"] += 1
             return real_cells(table, cong)
 
-        def counted_unflatten(flat, n):
+        def counted_unflatten(flat):
             calls["tables"] += 1
-            return real_unflatten(flat, n)
+            return real_unflatten(flat)
 
         monkeypatch.setattr(harness, "congruences", counted_congruences)
         monkeypatch.setattr(harness, "_quotient_cells", counted_cells)
@@ -284,7 +284,7 @@ class TestLeastSemilatticeCongruence:
 
 @pytest.fixture(scope="module")
 def classes6():
-    return [harness._unflatten(flat, 6)
+    return [harness._unflatten(flat)
             for flat in commutative_tables(6, lex_least=True)]
 
 

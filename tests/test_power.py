@@ -60,6 +60,15 @@ class TestPowerSemigroup:
         assert all(ps.table.op[i][j] == ps.index_of({0})
                    for i in range(7) for j in range(7))
 
+    def test_index_i_holds_the_subset_with_mask_i_plus_1(self, corpus5):
+        for table in corpus5:
+            ps = power_semigroup(table)
+            assert len(ps.elements) == (1 << table.n) - 1
+            for i, subset in enumerate(ps.elements):
+                assert subset == frozenset(
+                    x for x in table.elements if (i + 1) >> x & 1)
+                assert ps.index_of(subset) == ps.index_of(sorted(subset)) == i
+
     def test_index_of_refuses_the_empty_set(self, l3):
         with pytest.raises(PreconditionError,
                            match="the empty set is not an element"):

@@ -29,6 +29,22 @@ def _restricted_growth_strings(n):
     yield from rec(0, -1)
 
 
+def assert_least_congruence(table, pairs):
+    """congruence_closure gives the least congruence containing the pairs:
+    of the congruences that contain them, the one that refines all others."""
+    closure = congruence_closure(table, pairs)
+    assert congruence_violation(table, closure) is None
+    containing = [c for c in congruences(table)
+                  if all(c.class_of[x] == c.class_of[y] for x, y in pairs)]
+    # c refines d iff no class of c meets two classes of d
+    least = [c for c in containing
+             if all(len(set(zip(c.class_of, d.class_of))) == len(c.classes)
+                    for d in containing)]
+    assert least == [closure]
+    assert hash(closure) == hash(least[0])
+    assert type(closure.class_of) is tuple
+
+
 def bell_filter_congruences(table):
     """Oracle: every set partition, in restricted-growth-string order, kept
     when it is compatible with the table."""
@@ -154,17 +170,13 @@ class TestCongruenceClosure:
              data.draw(st.integers(0, table.n - 1)))
             for _ in range(k)
         ]
-        closure = congruence_closure(table, pairs)
-        assert congruence_violation(table, closure) is None
-        cf = closure.class_of
-        assert all(cf[x] == cf[y] for x, y in pairs)
-        # least: every congruence containing the pairs is coarser
-        for cong in congruences(table):
-            if all(cong.class_of[x] == cong.class_of[y] for x, y in pairs):
-                assert all(
-                    cong.class_of[a] == cong.class_of[b]
-                    for cls in closure.classes
-                    for a in cls for b in cls)
+        assert_least_congruence(table, pairs)
+
+    def test_least_congruence_containing_each_pair(self, corpus4):
+        for table in corpus4:
+            for x in table.elements:
+                for y in table.elements:
+                    assert_least_congruence(table, [(x, y)])
 
 
 class TestCongruenceConstructor:
