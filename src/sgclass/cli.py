@@ -17,8 +17,7 @@ from .classify import classify, explain
 from .core import (PreconditionError, _decimal, _Digits, center,
                    clifford_part, h_classes, idempotents, max_chain_length,
                    natural_le, parse_table, pi_map, render_table, validate)
-from .descriptors import (DescriptorSyntaxError, NotCommutativeError,
-                          describe, parse_descriptor)
+from .descriptors import describe, parse_descriptor
 from .harness import (MAX_ENUM_ORDER, SUITE_CHECK_NAMES,
                       enumerate_commutative, kernel_backend, lemma_suite)
 from .power import power_semigroup
@@ -191,14 +190,7 @@ def _verdict_json(verdict):
 
 
 def cmd_classify(args, table):
-    try:
-        desc = parse_descriptor(args.expr)
-    except DescriptorSyntaxError as exc:
-        if isinstance(exc.__cause__, NotCommutativeError):
-            raise DescriptorSyntaxError(
-                "classification covers commutative semigroups only; %s" % exc)
-        raise
-    verdict = classify(desc)
+    verdict = classify(parse_descriptor(args.expr))
     return 0, lambda: _verdict_json(verdict), lambda: _lines(explain(verdict))
 
 

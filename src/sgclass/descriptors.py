@@ -24,6 +24,8 @@ Descriptor expressions (`parse_descriptor`):
     slspec := "chain-omega" | "antichain-omega-zero" | "(" "poset" PATH ")"
 
 INT and PRIME are ASCII decimal, -?[0-9]+; PATH names a table file.
+Table and poset leaves refuse anything that is not a commutative
+`CayleyTable`: the characterizations cover commutative semigroups only.
 """
 
 from __future__ import annotations
@@ -93,18 +95,17 @@ class Factor:
         return "(%s x %s)" % (body, self.mult)
 
 
-class NotCommutativeError(ValueError):
-    """A finite table given as a commutative semigroup does not commute."""
-
-
 def _check_commutative(table, what):
+    if not isinstance(table, CayleyTable):
+        raise TypeError("%s is not a CayleyTable: %r" % (what, table))
     report = validate(table)
     if not report.associative:
         raise ValueError("%s is not associative: witness %r"
                          % (what, report.assoc_witness))
     if not report.commutative:
-        raise NotCommutativeError("%s is not commutative: witness %r"
-                                  % (what, report.comm_witness))
+        raise ValueError("%s is not commutative: witness %r; classification "
+                         "covers commutative semigroups only"
+                         % (what, report.comm_witness))
 
 
 # -- finite truncations ------------------------------------------------------
@@ -543,12 +544,10 @@ def describe(d) -> str:
 
 class DescriptorSyntaxError(ValueError):
     """Descriptor expression does not parse; the message leads with the
-    line and column when they are given."""
+    line and column of the offending token."""
 
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = "line %d, column %d: %s" % (line, col, message)
-        super().__init__(message)
+    def __init__(self, message, line, col):
+        super().__init__("line %d, column %d: %s" % (line, col, message))
 
 
 _TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")

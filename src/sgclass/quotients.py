@@ -120,10 +120,16 @@ def congruence_closure(table, pairs) -> Congruence:
             a = parent[a]
         return a
 
-    work = [tuple(p) for p in pairs]
-    for x, y in work:
+    work = []
+    for p in pairs:
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            raise PreconditionError("a pair has two members, got %r"
+                                    % (p,)) from None
         _check_element(table, x, "pair member")
         _check_element(table, y, "pair member")
+        work.append((x, y))
     while work:
         x, y = work.pop()
         rx, ry = find(x), find(y)

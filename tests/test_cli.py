@@ -452,17 +452,19 @@ class TestCommands:
     def test_classify_noncommutative_table_exits_two(self, lz2_file, capsys):
         assert main(["classify", "(table %s)" % lz2_file]) == 2
         assert capsys.readouterr().err == (
-            "error: classification covers commutative semigroups only; "
-            "line 1, column 8: table is not commutative: witness (0, 1)\n")
+            "error: line 1, column 8: table is not commutative: "
+            "witness (0, 1); classification covers commutative semigroups "
+            "only\n")
         assert main(["classify", "(semilattice (poset %s))" % lz2_file]) == 2
         assert capsys.readouterr().err == (
-            "error: classification covers commutative semigroups only; "
-            "line 1, column 21: poset table is not commutative: "
-            "witness (0, 1)\n")
+            "error: line 1, column 21: poset table is not commutative: "
+            "witness (0, 1); classification covers commutative semigroups "
+            "only\n")
 
-    def test_classify_parse_error_naming_commutativity_gets_no_prefix(
+    def test_classify_table_file_parse_error_has_no_scope_sentence(
             self, tmp_path, capsys):
-        # the prefix follows the refusal's type, not words in the message
+        # a file that does not parse is reported at its position only,
+        # whatever words its content holds
         path = tmp_path / "F.tbl"
         path.write_text("not commutative\n")
         assert main(["classify", "(table %s)" % path]) == 2

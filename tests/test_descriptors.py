@@ -70,8 +70,19 @@ class TestPrimality:
 
 class TestValidation:
     def test_finite_table_must_be_commutative(self, lz2):
-        with pytest.raises(ValueError, match="not commutative"):
+        scope = "classification covers commutative semigroups only$"
+        with pytest.raises(ValueError, match="^table is not commutative: .*"
+                                             + scope):
             FiniteTable(lz2)
+        with pytest.raises(ValueError, match="^poset table is not "
+                                             "commutative: .*" + scope):
+            FinitePoset(lz2)
+
+    @pytest.mark.parametrize("cls", [FiniteTable, FinitePoset])
+    @pytest.mark.parametrize("table", [[[0]], None, "x"])
+    def test_leaf_takes_only_a_cayley_table(self, cls, table):
+        with pytest.raises(TypeError, match="is not a CayleyTable"):
+            cls(table)
 
     def test_prufer_param_must_be_prime(self):
         with pytest.raises(ValueError, match="not prime"):

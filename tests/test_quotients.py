@@ -160,6 +160,11 @@ class TestCongruenceClosure:
     def test_empty_gives_identity(self, z4):
         assert congruence_closure(z4, []) == Congruence([(x,) for x in range(4)])
 
+    @pytest.mark.parametrize("pair", [(0,), (0, 1, 2), 0, None])
+    def test_refuses_a_pair_without_two_members(self, pair, z4):
+        with pytest.raises(PreconditionError, match="a pair has two members"):
+            congruence_closure(z4, [pair])
+
     @settings(max_examples=60)
     @given(st.data())
     def test_least_congruence_containing_pairs(self, corpus3, data):
