@@ -19,7 +19,7 @@ from .core import (PreconditionError, _decimal, _Digits, center,
                    natural_le, parse_table, pi_map, render_table, validate)
 from .descriptors import describe, parse_descriptor
 from .harness import (MAX_ENUM_ORDER, SUITE_CHECK_NAMES,
-                      enumerate_commutative, kernel_backend, lemma_suite)
+                      enumerate_commutative, kernel_backend, suite_reports)
 from .power import power_semigroup
 from .quotients import (congruence_closure, quotient_by_congruence,
                         rees_quotient)
@@ -262,21 +262,18 @@ def cmd_suite(args, table):
     failures = []
     total = 0
     out = args.out or "."
-    known = {}  # quotient facts shared by the tables of this run only
-    for n in range(1, args.max_order + 1):
-        for idx, t in enumerate(enumerate_commutative(n, up_to_iso=True)):
-            total += 1
-            report = lemma_suite(t, known)
-            if report.ok:
-                continue
-            failed = [r.name for r in report.failures]
-            path = os.path.join(out, "suite_fail_order%d_%04d.tbl" % (n, idx))
-            os.makedirs(out, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(render_table(
-                    t, comment="failed checks: %s" % ", ".join(failed)))
-            failures.append({"order": n, "index": idx, "table": t.op,
-                             "failed": failed, "replay": path})
+    for n, idx, report in suite_reports(args.max_order):
+        total += 1
+        if report.ok:
+            continue
+        failed = [r.name for r in report.failures]
+        path = os.path.join(out, "suite_fail_order%d_%04d.tbl" % (n, idx))
+        os.makedirs(out, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_table(
+                report.table, comment="failed checks: %s" % ", ".join(failed)))
+        failures.append({"order": n, "index": idx, "table": report.table.op,
+                         "failed": failed, "replay": path})
 
     def as_text():
         if not failures:

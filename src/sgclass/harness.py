@@ -231,10 +231,9 @@ def lemma_suite(table, known=None) -> SuiteReport:
     missing.  The table's own facts come from there too, as the entry its
     identity congruence, the last one searched, finds.  Its powers are
     walked once per call, and its pi map is read from them with
-    `core._first_idempotent`, as `pi_map` reads it.  A caller that runs
-    many tables, as `suite` does, passes one `known` to all of them, so a
-    quotient met again is not recomputed; without one, a fresh dict serves
-    this call alone.
+    `core._first_idempotent`, as `pi_map` reads it.  `suite_reports` passes
+    one `known` to every table of its run, so a quotient met again is not
+    recomputed; without one, a fresh dict serves this call alone.
     """
     if known is None:
         known = {}
@@ -266,7 +265,21 @@ def lemma_suite(table, known=None) -> SuiteReport:
     return SuiteReport(table, tuple(results))
 
 
+def suite_reports(max_order):
+    """(order, index, report) for the lex-least table of each class at
+    orders 1..max_order, in `enumerate --up-to-iso` order, all sharing one
+    `known`, which keeps no top-order table's own entry past its report.
+    """
+    known = {}
+    for n in range(1, max_order + 1):
+        tables = _kernel.commutative_tables(n, lex_least=True)
+        for idx, flat in enumerate(tables):
+            yield n, idx, lemma_suite(_unflatten(flat), known)
+            if n == max_order:  # every other quotient has a lower order
+                del known[flat]
+
+
 __all__ = [
     "CheckResult", "SuiteReport", "enumerate_commutative", "kernel_backend",
-    "lemma_suite",
+    "lemma_suite", "suite_reports",
 ]

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import sgclass
-from sgclass import cli, core, descriptors
+from sgclass import cli, core, descriptors, harness
 from sgclass.cli import main
 from sgclass.core import (TableParseError, chain_table, cyclic_table,
                           parse_table, render_table, taimanov_table)
@@ -557,9 +557,9 @@ class TestCommands:
     def test_suite_refuses_max_order_up_front(self, order, monkeypatch,
                                               capsys):
         calls = []
-        real = cli.lemma_suite
-        monkeypatch.setattr(cli, "lemma_suite",
-                            lambda table: calls.append(table) or real(table))
+        real = harness.lemma_suite
+        monkeypatch.setattr(harness, "lemma_suite",
+                            lambda *a: calls.append(a) or real(*a))
         assert main(["suite", "--max-order", order]) == 2
         assert capsys.readouterr() == (
             "", "error: --max-order must be in 1..5\n")
@@ -572,7 +572,7 @@ class TestCommands:
     def test_order_options_read_only_ascii_decimals(self, argv, monkeypatch,
                                                     capsys):
         calls = []
-        monkeypatch.setattr(cli, "lemma_suite", lambda *a: calls.append(a))
+        monkeypatch.setattr(harness, "lemma_suite", lambda *a: calls.append(a))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -293,18 +293,45 @@ class TestOrderSix:
         assert len(classes6) == 2143
         assert sum(1 for t in classes6 for _ in harness.congruences(t)) == 51993
 
-    def test_every_class_passes_with_one_shared_memo(self, classes6):
-        known = {}
-        failing = [i for i, t in enumerate(classes6)
-                   if not lemma_suite(t, known).ok]
-        assert failing == []
-        # the distinct tables among the classes and all their quotients
-        assert len(known) == 3132
+    def test_every_class_passes_with_one_shared_memo(self, monkeypatch):
+        memos = []
+        real = harness.lemma_suite
+
+        def recording(table, known):
+            memos.append(known)
+            return real(table, known)
+
+        monkeypatch.setattr(harness, "lemma_suite", recording)
+        reports = list(harness.suite_reports(6))
+        assert len(reports) == 2542
+        assert [(n, i) for n, i, r in reports if not r.ok] == []
+        known = memos[0]
+        assert all(memo is known for memo in memos)
+        # the distinct quotients of the classes, less the 2143 order-6
+        # tables' own entries
+        assert len(known) == 989
 
     def test_least_semilattice_congruence_is_unique_with_pi_map_fibres(
             self, classes6):
         assert [i for i, t in enumerate(classes6)
                 if semilattice_congruence_mismatch(t) is not None] == []
+
+
+class TestSuiteReports:
+    @pytest.mark.parametrize("collapsed", [False, True])
+    def test_the_shared_memo_never_changes_a_report(self, corpus4, collapsed,
+                                                    request):
+        if collapsed:  # order-2 tables then fail
+            request.getfixturevalue("collapsed_projections")
+        index = {}
+        fresh = []
+        for t in corpus4:
+            index[t.n] = index.get(t.n, -1) + 1
+            fresh.append((t.n, index[t.n], lemma_suite(t).results))
+        shared = [(n, i, r.results) for n, i, r in harness.suite_reports(4)]
+        assert shared == fresh
+        assert collapsed == any(not r.passed
+                                for *_, results in fresh for r in results)
 
 
 class TestSuiteFailurePath:
