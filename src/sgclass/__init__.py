@@ -7,13 +7,13 @@ enumeration harness.
 """
 
 from .classify import ClosednessVerdict, classify, explain
-from .core import (CayleyTable, MalformedTableError, MonogenicData,
-                   PreconditionError, ValidationReport, adjoin_identity,
-                   adjoin_zero, antichain_zero_table, center, chain_table,
-                   clifford_part, cyclic_table, group_exponent, h_class,
-                   h_classes, idempotents, max_chain_length, monogenic_data,
-                   natural_le, null_table, pi_map, product_table, restrict,
-                   root_inf, taimanov_table, validate, z_sets)
+from .core import (CayleyTable, MalformedTableError, PreconditionError,
+                   ValidationReport, adjoin_identity, adjoin_zero,
+                   antichain_zero_table, center, chain_table, clifford_part,
+                   cyclic_table, group_exponent, h_class, h_classes,
+                   idempotents, max_chain_length, natural_le, null_table,
+                   pi_map, product_table, restrict, root_inf, taimanov_table,
+                   validate, z_sets)
 from .descriptors import (OMEGA, AdjoinIdentity, AdjoinZero, Descriptor,
                           Factor, FinitePoset, FiniteTable, Group, Null,
                           OmegaAntichainZero, OmegaChain, PredicateProfile,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 
 class MalformedTableError(ValueError):
@@ -115,18 +115,6 @@ class ValidationReport:
     commutative: bool
     assoc_witness: Optional[tuple] = None   # first (x, y, z) with (xy)z != x(yz)
     comm_witness: Optional[tuple] = None    # first (x, y) with xy != yx
-
-
-class MonogenicData(NamedTuple):
-    """Shape of the power sequence x, x^2, x^3, ... of a single element.
-
-    index:  least i >= 1 with x^(i+period) = x^i
-    period: cycle length of the power sequence
-    pi:     the unique idempotent among the powers of x
-    """
-    index: int
-    period: int
-    pi: int
 
 
 def _check_element(table, x, what="element"):
@@ -296,16 +284,6 @@ def _first_idempotent(table, x, powers):
                             "cycle without an idempotent" % x)
 
 
-def monogenic_data(table, x) -> MonogenicData:
-    """Index, period and idempotent of the power sequence of x."""
-    _check_element(table, x)
-    powers = _powers(table, x)
-    # the product _powers stopped at, x x^k, is one of the powers listed
-    start = powers.index(table.op[x][powers[-1]])
-    pi = _first_idempotent(table, x, powers[start:])
-    return MonogenicData(start + 1, len(powers) - start, pi)
-
-
 def pi_map(table) -> tuple:
     """Map each element to the unique idempotent among its powers.
 
@@ -350,7 +328,7 @@ def group_exponent(table, e) -> int:
     _check_idempotent(table, e)
     # the powers of a group member x run through e back to x, so their
     # number is the order of x
-    return math.lcm(*(len(_powers(table, x)) for x in h_class(table, e)))
+    return math.lcm(*(len(_powers(table, x)) for x in h_classes(table)[e]))
 
 
 # -- table builders ----------------------------------------------------------

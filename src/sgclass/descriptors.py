@@ -35,10 +35,10 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
-from .core import (CayleyTable, _decimal, _positive_int, adjoin_identity,
-                   adjoin_zero, antichain_zero_table, chain_table,
-                   clifford_part, cyclic_table, group_exponent, idempotents,
-                   monogenic_data, null_table, parse_table, product_table,
+from .core import (CayleyTable, _decimal, _first_idempotent, _positive_int,
+                   _powers, adjoin_identity, adjoin_zero, antichain_zero_table,
+                   chain_table, clifford_part, cyclic_table, group_exponent,
+                   idempotents, null_table, parse_table, product_table,
                    restrict, taimanov_table, validate)
 
 OMEGA = "omega"  # multiplicity marker: countably many copies, direct sum
@@ -126,7 +126,7 @@ def _truncate_table(table, budget):
         if len(closure) <= budget:
             sub, _ = restrict(table, closure)
             return sub
-    e = monogenic_data(table, 0).pi
+    e = _first_idempotent(table, 0, _powers(table, 0))
     sub, _ = restrict(table, {e})
     return sub
 
@@ -246,7 +246,10 @@ class Group(Descriptor):
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        try:
+            object.__setattr__(self, "factors", tuple(self.factors))
+        except TypeError:  # not iterable, such as a lone Factor
+            raise ValueError("group factors must be Factor instances") from None
         for f in self.factors:
             if not isinstance(f, Factor):
                 raise ValueError("group factors must be Factor instances")
@@ -550,123 +553,114 @@ class DescriptorSyntaxError(ValueError):
         super().__init__("line %d, column %d: %s" % (line, col, message))
 
 
-_TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")
+_TOKEN = re.compile(r"[()]|[^() \t\r\n]+")
 
 
 class _Tokens:
+    """Tokens and their offsets; a position is computed only for an error."""
+
     def __init__(self, text):
-        self.items = []
-        line, line_start = 1, 0
-        for m in _TOKEN.finditer(text):
-            tok = m.group()
-            if tok == "\n":
-                line += 1
-                line_start = m.end()
-            else:
-                self.items.append((tok, line, m.start() - line_start + 1))
+        self.text = text
+        self.items = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
         self.pos = 0
-        self.end = (line, len(text) - line_start + 1)
+
+    def error(self, message, at):
+        text = self.text
+        return DescriptorSyntaxError(message, text.count("\n", 0, at) + 1,
+                                     at - text.rfind("\n", 0, at))
 
     def peek(self):
         return self.items[self.pos][0] if self.pos < len(self.items) else None
 
     def take(self):
         if self.pos >= len(self.items):
-            raise DescriptorSyntaxError("unexpected end of input", *self.end)
+            raise self.error("unexpected end of input", len(self.text))
         item = self.items[self.pos]
         self.pos += 1
         return item
 
     def expect(self, value):
-        tok, line, col = self.take()
+        tok, at = self.take()
         if tok != value:
-            raise DescriptorSyntaxError("expected %r, got %r" % (value, tok),
-                                        line, col)
-        return tok, line, col
+            raise self.error("expected %r, got %r" % (value, tok), at)
+        return at
 
     def atom(self, what="name"):
-        tok, line, col = self.take()
+        tok, at = self.take()
         if tok in "()":
-            raise DescriptorSyntaxError("expected %s, got %r" % (what, tok),
-                                        line, col)
-        return tok, line, col
+            raise self.error("expected %s, got %r" % (what, tok), at)
+        return tok, at
 
 
 def _parse_int(tk, what):
-    tok, line, col = tk.atom(what)
+    tok, at = tk.atom(what)
     try:
-        return _decimal(tok), line, col
+        return _decimal(tok), at
     except ValueError:
-        raise DescriptorSyntaxError("%s must be an integer, got %r"
-                                    % (what, tok), line, col)
+        raise tk.error("%s must be an integer, got %r" % (what, tok), at)
 
 
 def _parse_factor(tk):
-    _, line, col = tk.expect("(")
-    kind, kline, kcol = tk.atom("factor kind")
+    tk.expect("(")
+    kind, at = tk.atom("factor kind")
     if kind not in FACTOR_KINDS:
-        raise DescriptorSyntaxError("unknown factor kind %r" % kind, kline, kcol)
+        raise tk.error("unknown factor kind %r" % kind, at)
     param = None
     if kind != "integers":
-        param, pline, pcol = _parse_int(tk, "%s parameter" % kind)
-    else:
-        pline, pcol = kline, kcol
+        param, at = _parse_int(tk, "%s parameter" % kind)
     mult = 1
     if tk.peek() == "x":
         tk.take()
-        tok, mline, mcol = tk.atom("multiplicity")
+        tok, mat = tk.atom("multiplicity")
         if tok == OMEGA:
             mult = OMEGA
         else:
             try:
                 mult = _decimal(tok)
             except ValueError:
-                raise DescriptorSyntaxError(
-                    "multiplicity must be an integer or 'omega', got %r" % tok,
-                    mline, mcol)
+                raise tk.error("multiplicity must be an integer or 'omega', "
+                               "got %r" % tok, mat)
             if mult < 1:
-                raise DescriptorSyntaxError("multiplicity must be >= 1",
-                                            mline, mcol)
+                raise tk.error("multiplicity must be >= 1", mat)
     tk.expect(")")
     try:
         return Factor(kind, param, mult)
     except ValueError as exc:
-        raise DescriptorSyntaxError(str(exc), pline, pcol)
+        raise tk.error(str(exc), at)  # the parameter, or `integers`
 
 
 def _parse_leaf(tk, cls, what):
     """The rest of `(table PATH)` or `(poset PATH)`: the loaded file as a
     `cls` leaf; a file that fails to load is reported at its path."""
-    path, line, col = tk.atom(what)
+    path, at = tk.atom(what)
     tk.expect(")")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             table = parse_table(fh.read(), require_associative=False)
         return cls(table, path=path)
     except (OSError, ValueError) as exc:
-        raise DescriptorSyntaxError(str(exc), line, col) from exc
+        raise tk.error(str(exc), at) from exc
 
 
 def _parse_slspec(tk):
     if tk.peek() == "(":
         tk.take()
-        head, hline, hcol = tk.atom("semilattice spec")
+        head, at = tk.atom("semilattice spec")
         if head != "poset":
-            raise DescriptorSyntaxError("unknown semilattice spec %r" % head,
-                                        hline, hcol)
+            raise tk.error("unknown semilattice spec %r" % head, at)
         return _parse_leaf(tk, FinitePoset, "poset path")
-    tok, line, col = tk.atom("semilattice spec")
+    tok, at = tk.atom("semilattice spec")
     if tok in SEMILATTICE_WORDS:
         return SEMILATTICE_WORDS[tok]()
-    raise DescriptorSyntaxError("unknown semilattice spec %r" % tok, line, col)
+    raise tk.error("unknown semilattice spec %r" % tok, at)
 
 
 def _parse_desc(tk, depth=1):
-    _, line, col = tk.expect("(")
+    at = tk.expect("(")
     if depth > MAX_DEPTH:
-        raise DescriptorSyntaxError("descriptor nested deeper than %d levels"
-                                    % MAX_DEPTH, line, col)
-    head, hline, hcol = tk.atom("constructor")
+        raise tk.error("descriptor nested deeper than %d levels" % MAX_DEPTH,
+                       at)
+    head, at = tk.atom("constructor")
     cls = CONSTRUCTORS.get(head)
     if cls is not None:
         children = []
@@ -681,15 +675,14 @@ def _parse_desc(tk, depth=1):
         while tk.peek() == "(":
             factors.append(_parse_factor(tk))
         if not factors:
-            raise DescriptorSyntaxError("group needs at least one factor",
-                                        hline, hcol)
+            raise tk.error("group needs at least one factor", at)
         tk.expect(")")
         return Group(tuple(factors))
     if head == "semilattice":
         d = _parse_slspec(tk)
         tk.expect(")")
         return d
-    raise DescriptorSyntaxError("unknown constructor %r" % head, hline, hcol)
+    raise tk.error("unknown constructor %r" % head, at)
 
 
 def parse_descriptor(text):
@@ -698,8 +691,8 @@ def parse_descriptor(text):
     tk = _Tokens(text)
     desc = _parse_desc(tk)
     if tk.peek() is not None:
-        tok, line, col = tk.take()
-        raise DescriptorSyntaxError("trailing input %r" % tok, line, col)
+        tok, at = tk.take()
+        raise tk.error("trailing input %r" % tok, at)
     return desc
 
 

@@ -314,6 +314,65 @@ class TestRenderRoundTrip:
         assert render_descriptor(d) == text
 
 
+_space_run_st = st.lists(st.sampled_from([" ", "\t", "\n", "\r\n"]),
+                         max_size=3).map("".join)
+
+
+@st.composite
+def _broken_descriptor_text_st(draw):
+    """A valid descriptor text re-spaced with runs of whitespace, then
+    broken once: a `)` dropped, the atom `bogus` inserted, or cut short."""
+    rendered = render_descriptor(draw(_pathfree_descriptor_st))
+    tokens = rendered.replace("(", " ( ").replace(")", " ) ").split()
+    mutation = draw(st.sampled_from(["drop", "insert", "cut"]))
+    if mutation == "drop":
+        del tokens[draw(st.sampled_from(
+            [i for i, tok in enumerate(tokens) if tok == ")"]))]
+    elif mutation == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens))), "bogus")
+    text = draw(_space_run_st)
+    for prev, tok in zip([None] + tokens, tokens):
+        gap = draw(_space_run_st)
+        if not gap and prev not in (None, "(", ")") and tok not in "()":
+            gap = " "  # two atoms need a space between them
+        text += gap + tok
+    text += draw(_space_run_st)
+    if mutation == "cut":
+        text = text[:draw(st.integers(0, text.rindex(")")))]
+    return text
+
+
+def _offset_of(text, line, col):
+    """The offset of (line, col) in text, walking it one character at a
+    time; len(text) for the position one past the last character."""
+    at = (1, 1)
+    for i, ch in enumerate(text):
+        if at == (line, col):
+            return i
+        at = (at[0] + 1, 1) if ch == "\n" else (at[0], at[1] + 1)
+    assert at == (line, col), "position past the end of the text"
+    return len(text)
+
+
+class TestErrorPositionOracle:
+    @settings(max_examples=200)
+    @given(_broken_descriptor_text_st())
+    def test_the_position_holds_the_token_the_message_quotes(self, text):
+        with pytest.raises(DescriptorSyntaxError) as exc:
+            parse_descriptor(text)
+        m = re.fullmatch(r"line (\d+), column (\d+): (.*)", str(exc.value))
+        at = _offset_of(text, int(m[1]), int(m[2]))
+        message = m[3]
+        if message == "unexpected end of input":
+            assert at == len(text)
+        elif message == "group needs at least one factor":
+            assert text.startswith("group", at)  # reported at the constructor
+        else:
+            quoted = re.search(r"'([^']*)'$", message)
+            assert quoted, message
+            assert text.startswith(quoted[1], at)
+
+
 _json_scalar_st = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(min_value=2 ** 64), st.integers(max_value=-2 ** 64),

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, product
 
 import pytest
@@ -6,9 +7,9 @@ from sgclass import (CayleyTable, MalformedTableError, PreconditionError,
                      adjoin_identity, adjoin_zero, antichain_zero_table,
                      center, chain_table, clifford_part, cyclic_table,
                      group_exponent, h_class, h_classes, idempotents,
-                     max_chain_length, monogenic_data, natural_le, null_table,
-                     pi_map, product_table, restrict, root_inf,
-                     taimanov_table, validate, z_sets)
+                     max_chain_length, natural_le, null_table, pi_map,
+                     product_table, restrict, root_inf, taimanov_table,
+                     validate, z_sets)
 
 from oracles import relabel
 
@@ -213,46 +214,6 @@ class TestCliffordPart:
 NO_IDEMPOTENT_CYCLE = CayleyTable([[1, 2, 0], [2, 0, 1], [0, 1, 1]])
 
 
-class TestMonogenic:
-    def test_z4_generator(self, z4):
-        # oracle: powers of 1 are 1, 2, 3, 0, 1, ...
-        assert [power_oracle(z4, 1, k) for k in range(1, 6)] == [1, 2, 3, 0, 1]
-        assert monogenic_data(z4, 1) == (1, 4, 0)
-
-    def test_taimanov_nilpotent(self, t5):
-        assert monogenic_data(t5, 2) == (2, 1, 0)
-
-    def test_idempotent(self, l3):
-        assert monogenic_data(l3, 1) == (1, 1, 1)
-
-    def test_refuses_a_cycle_without_an_idempotent(self):
-        # commutative, not associative: the powers of 0 run 0, 1, 2, 0, ...
-        # and the table has no idempotent at all
-        with pytest.raises(PreconditionError, match="powers of 0 cycle "
-                                                    "without an idempotent"):
-            monogenic_data(NO_IDEMPOTENT_CYCLE, 0)
-
-    def test_refuses_a_non_associative_cycle_read_from_the_left(self):
-        # 0 x 0 = 1 and 0 x 1 = 0, so the powers of 0 cycle through 0, 1,
-        # neither idempotent; 1 x 0 = 2 is not among them, as only the
-        # left product x x^k builds them
-        table = CayleyTable([[1, 0, 0], [2, 0, 0], [0, 0, 0]])
-        with pytest.raises(PreconditionError, match="powers of 0 cycle "
-                                                    "without an idempotent"):
-            monogenic_data(table, 0)
-
-    def test_invariants_on_corpus(self, corpus4):
-        for table in corpus4:
-            for x in table.elements:
-                index, period, pi = monogenic_data(table, x)
-                assert index >= 1 and period >= 1
-                assert power_oracle(table, x, index + period) == \
-                    power_oracle(table, x, index)
-                assert table.op[pi][pi] == pi
-                assert pi in {power_oracle(table, x, k)
-                              for k in range(1, index + period + 1)}
-
-
 class TestPiMap:
     def test_single_idempotent(self, z4):
         assert pi_map(z4) == (0, 0, 0, 0)
@@ -274,9 +235,21 @@ class TestPiMap:
                                                     "without an idempotent"):
             pi_map(NO_IDEMPOTENT_CYCLE)
 
+    def test_refuses_a_non_associative_cycle_read_from_the_left(self):
+        # 0 x 0 = 1 and 0 x 1 = 0, so the powers of 0 cycle through 0, 1,
+        # neither idempotent; 1 x 0 = 2 is not among them, as only the
+        # left product x x^k builds them
+        table = CayleyTable([[1, 0, 0], [2, 0, 0], [0, 0, 0]])
+        with pytest.raises(PreconditionError, match="powers of 0 cycle "
+                                                    "without an idempotent"):
+            pi_map(table)
+
     def test_agrees_with_monogenic_data_on_corpus(self, corpus5):
+        # the idempotent of the monogenic subsemigroup <x> is x^(n!), as
+        # its index and period are both at most n
         for table in corpus5:
-            assert pi_map(table) == tuple(monogenic_data(table, x).pi
+            k = math.factorial(table.n)
+            assert pi_map(table) == tuple(power_oracle(table, x, k)
                                           for x in table.elements)
 
 

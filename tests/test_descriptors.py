@@ -114,9 +114,12 @@ class TestValidation:
         assert str(exc.value) == message
 
     def test_group_takes_only_factors(self):
-        with pytest.raises(ValueError,
-                           match="^group factors must be Factor instances$"):
-            Group((1,))
+        # a tuple holding a non-Factor, then arguments that are not
+        # iterable at all, a lone Factor among them
+        for factors in [(1,), 5, None, Factor("cyclic", 2)]:
+            with pytest.raises(ValueError,
+                               match="^group factors must be Factor instances$"):
+                Group(factors)
 
     def test_poset_path_is_not_compared(self, l3):
         a, b = FinitePoset(l3, path="a"), FinitePoset(l3, path="b")

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "FiniteTable",
     "Group",
     "MalformedTableError",
-    "MonogenicData",
     "Null",
     "OMEGA",
     "OmegaAntichainZero",
@@ -56,7 +55,6 @@ PUBLIC_NAMES = [
     "lemma_suite",
     "lift_idempotent",
     "max_chain_length",
-    "monogenic_data",
     "natural_le",
     "null_table",
     "pi_map",
