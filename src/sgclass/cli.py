@@ -337,52 +337,69 @@ def _register(p, func, table=True, require_associative=True):
                    require_associative=require_associative)
 
 
-def build_parser():
+# The commands, in the order `sgclass -h` lists them, with their help lines.
+_COMMANDS = {
+    "validate": "check a table file for associativity and commutativity",
+    "analyze": "idempotents, natural order, h-classes, pi, center, chains",
+    "classify": "closedness verdicts for a descriptor expression",
+    "quotient": "Rees or congruence quotient of a table",
+    "power": "power semigroup of nonempty subsets",
+    "enumerate": "all commutative semigroups of one order",
+    "suite": "run every structural check on every table up to an order",
+}
+
+
+def _add_arguments(p, command):
+    """Give the parser `p` of `command` its arguments and handler."""
+    if command == "validate":
+        _register(p, cmd_validate, require_associative=False)
+    elif command == "analyze":
+        _register(p, cmd_analyze)
+    elif command == "classify":
+        p.add_argument("expr")
+        _register(p, cmd_classify, table=False)
+    elif command == "quotient":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--ideal", help="comma-separated element indices")
+        group.add_argument("--pairs",
+                           help="comma-separated a=b pairs to identify")
+        _register(p, cmd_quotient)
+    elif command == "power":
+        _register(p, cmd_power)
+    elif command == "enumerate":
+        p.add_argument("--order", type=_int_option, required=True)
+        p.add_argument("--up-to-iso", action="store_true")
+        p.add_argument("--out", help="write tables into this directory")
+        _register(p, cmd_enumerate, table=False)
+    else:
+        p.add_argument("--max-order", type=_int_option, default=4)
+        p.add_argument("--out", help="directory for failure replay files")
+        _register(p, cmd_suite, table=False)
+
+
+def build_parser(argv):
+    """The parser for `sgclass argv`, a list.  Every command gets a
+    sub-parser, but only the one argv invokes gets its arguments: the first
+    token naming a command, which argparse dispatches on, as no top-level
+    option takes a value.  Usage, help and errors are unchanged."""
     parser = argparse.ArgumentParser(
         prog="sgclass",
         description="Classify commutative semigroups for closedness and "
                     "analyze finite Cayley tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a table file for "
-                                        "associativity and commutativity")
-    _register(p, cmd_validate, require_associative=False)
-
-    p = sub.add_parser("analyze", help="idempotents, natural order, "
-                                       "h-classes, pi, center, chains")
-    _register(p, cmd_analyze)
-
-    p = sub.add_parser("classify", help="closedness verdicts for a "
-                                        "descriptor expression")
-    p.add_argument("expr")
-    _register(p, cmd_classify, table=False)
-
-    p = sub.add_parser("quotient", help="Rees or congruence quotient of a table")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ideal", help="comma-separated element indices")
-    group.add_argument("--pairs", help="comma-separated a=b pairs to identify")
-    _register(p, cmd_quotient)
-
-    p = sub.add_parser("power", help="power semigroup of nonempty subsets")
-    _register(p, cmd_power)
-
-    p = sub.add_parser("enumerate", help="all commutative semigroups of one order")
-    p.add_argument("--order", type=_int_option, required=True)
-    p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--out", help="write tables into this directory")
-    _register(p, cmd_enumerate, table=False)
-
-    p = sub.add_parser("suite", help="run every structural check on every "
-                                     "table up to an order")
-    p.add_argument("--max-order", type=_int_option, default=4)
-    p.add_argument("--out", help="directory for failure replay files")
-    _register(p, cmd_suite, table=False)
-
+    invoked = next((a for a in argv if a in _COMMANDS), None)
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if command == invoked:
+            _add_arguments(p, command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.  argv (sys.argv[1:] when
+    None) may be any iterable of strings; it is read once, into a list."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         table = None
         if args.takes_table:

@@ -253,6 +253,8 @@ class Group(Descriptor):
         for f in self.factors:
             if not isinstance(f, Factor):
                 raise ValueError("group factors must be Factor instances")
+        if not self.factors:  # `describe` could not spell it
+            raise ValueError("group needs at least one factor")
         super().__post_init__()
 
     def profile(self):

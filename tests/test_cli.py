@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -248,7 +249,7 @@ ROUND_TRIP_CORPUS = [
 ]
 
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 _factor_st = st.builds(
@@ -690,6 +691,80 @@ class TestCommands:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["analyze", "/nonexistent/nowhere.tbl"]) == 2
+
+
+# -- the per-command parser --------------------------------------------------
+
+def subparsers(parser):
+    """The sub-parsers of `parser`, by command name."""
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def full_parser():
+    """A parser with every command's arguments, from the definitions
+    `build_parser` reads: its bare sub-parsers, each then given its own."""
+    parser = cli.build_parser([])
+    for command, p in subparsers(parser).items():
+        cli._add_arguments(p, command)
+    return parser
+
+
+def exit_outcome(f, argv):
+    """What f(argv) returns, or the exit code it raises with stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return f(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+PARSE_CASES = [
+    [], ["-h"], *([command, "-h"] for command in cli._COMMANDS),
+    ["nosuch"], ["quotient", "x.tbl"], ["enumerate"],
+    ["--bogus", "suite"], ["suite", "--bogus"],
+    ["-h", "suite"], ["--", "suite", "--max-order", "3"], ["classify", "suite"],
+    ["va"], ["-1"], ["--json", "validate", "x.tbl"],
+]
+
+_ARGV_TOKENS = [*cli._COMMANDS, "-h", "--json", "--max-order", "--order",
+                "--up-to-iso", "--out", "--ideal", "--pairs", "--", "-1", "3",
+                "x.tbl", "(null)", "bogus"]
+
+
+class TestPerCommandParser:
+    """`build_parser(argv)` parses argv as a parser with every command's
+    arguments would: same namespace, or same exit code, stdout and stderr."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_fixed_cases(self, argv):
+        assert (exit_outcome(cli.build_parser(argv).parse_args, argv)
+                == exit_outcome(full_parser().parse_args, argv))
+
+    def test_only_the_invoked_command_gets_arguments(self):
+        built = [c for c, p in subparsers(cli.build_parser(["suite"])).items()
+                 if p._actions[1:]]
+        assert built == ["suite"]  # the others have only -h
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))
+    def test_drawn_argv(self, argv):
+        assert (exit_outcome(cli.build_parser(argv).parse_args, argv)
+                == exit_outcome(full_parser().parse_args, argv))
+
+    @pytest.mark.parametrize("argv", [["suite", "-h"], ["quotient", "x.tbl"],
+                                      ["nosuch"]], ids=" ".join)
+    def test_main_reads_an_iterator_once(self, argv):
+        # each argv exits while parsing, so no command runs
+        assert exit_outcome(main, iter(argv)) == exit_outcome(main, argv)
 
 
 def nested(depth, head="adjoin-zero", leaf="(null)"):

@@ -120,6 +120,12 @@ class TestValidation:
             with pytest.raises(ValueError,
                                match="^group factors must be Factor instances$"):
                 Group(factors)
+        # no factors at all: `describe` would print "(group )", which the
+        # reader refuses
+        for factors in [(), []]:
+            with pytest.raises(ValueError,
+                               match="^group needs at least one factor$"):
+                Group(factors)
 
     def test_poset_path_is_not_compared(self, l3):
         a, b = FinitePoset(l3, path="a"), FinitePoset(l3, path="b")
