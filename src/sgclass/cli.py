@@ -337,6 +337,8 @@ def _register(p, func, table=True, require_associative=True):
                    require_associative=require_associative)
 
 
+_PROG = "sgclass"
+
 # The commands, in the order `sgclass -h` lists them, with their help lines.
 _COMMANDS = {
     "validate": "check a table file for associativity and commutativity",
@@ -377,29 +379,39 @@ def _add_arguments(p, command):
         _register(p, cmd_suite, table=False)
 
 
-def build_parser(argv):
-    """The parser for `sgclass argv`, a list.  Every command gets a
-    sub-parser, but only the one argv invokes gets its arguments: the first
-    token naming a command, which argparse dispatches on, as no top-level
-    option takes a value.  Usage, help and errors are unchanged."""
+def build_parser():
+    """The full parser: every command's sub-parser with its arguments.
+    Built only for argv not led by a command, or with tokens left over."""
     parser = argparse.ArgumentParser(
-        prog="sgclass",
+        prog=_PROG,
         description="Classify commutative semigroups for closedness and "
                     "analyze finite Cayley tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-    invoked = next((a for a in argv if a in _COMMANDS), None)
     for command, summary in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        if command == invoked:
-            _add_arguments(p, command)
+        _add_arguments(sub.add_parser(command, help=summary), command)
     return parser
+
+
+def _parse_args(argv):
+    """`build_parser().parse_args(argv)`, building less.  No top-level
+    option takes a value, so the full parser hands a command-led argv's
+    tail unchanged to that command's parser: built alone, it gives the same
+    result unless tokens are left over, which the full parser reports."""
+    if argv and argv[0] in _COMMANDS:
+        p = argparse.ArgumentParser(prog=_PROG + " " + argv[0])
+        _add_arguments(p, argv[0])
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.  argv (sys.argv[1:] when
-    None) may be any iterable of strings; it is read once, into a list."""
+    None) may be any iterable of strings, listed once for `_parse_args`."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         table = None
         if args.takes_table:

@@ -695,22 +695,6 @@ class TestCommands:
 
 # -- the per-command parser --------------------------------------------------
 
-def subparsers(parser):
-    """The sub-parsers of `parser`, by command name."""
-    [sub] = [a for a in parser._actions
-             if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
-
-
-def full_parser():
-    """A parser with every command's arguments, from the definitions
-    `build_parser` reads: its bare sub-parsers, each then given its own."""
-    parser = cli.build_parser([])
-    for command, p in subparsers(parser).items():
-        cli._add_arguments(p, command)
-    return parser
-
-
 def exit_outcome(f, argv):
     """What f(argv) returns, or the exit code it raises with stdout and
     stderr."""
@@ -728,16 +712,21 @@ PARSE_CASES = [
     ["--bogus", "suite"], ["suite", "--bogus"],
     ["-h", "suite"], ["--", "suite", "--max-order", "3"], ["classify", "suite"],
     ["va"], ["-1"], ["--json", "validate", "x.tbl"],
+    ["validate", "x.tbl", "--bogus"], ["suite", "--max-order", "3", "extra"],
+    ["classify", "--", "-x"], ["validate", "--", "x.tbl"],
+    ["validate", "x.tbl", "-h"], ["suite", "--max=2"],
+    ["enumerate", "--ord=4", "--up"], ["quotient", "--pa", "1=2", "x.tbl"],
 ]
 
 _ARGV_TOKENS = [*cli._COMMANDS, "-h", "--json", "--max-order", "--order",
                 "--up-to-iso", "--out", "--ideal", "--pairs", "--", "-1", "3",
-                "x.tbl", "(null)", "bogus"]
+                "x.tbl", "(null)", "bogus", "--json=1", "--max", "--up",
+                "--pa", "-", "1=2"]
 
 
 class TestPerCommandParser:
-    """`build_parser(argv)` parses argv as a parser with every command's
-    arguments would: same namespace, or same exit code, stdout and stderr."""
+    """`_parse_args(argv)` parses argv as `build_parser().parse_args` does:
+    same namespace, or same exit code, stdout and stderr."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -745,20 +734,36 @@ class TestPerCommandParser:
 
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
     def test_fixed_cases(self, argv):
-        assert (exit_outcome(cli.build_parser(argv).parse_args, argv)
-                == exit_outcome(full_parser().parse_args, argv))
-
-    def test_only_the_invoked_command_gets_arguments(self):
-        built = [c for c, p in subparsers(cli.build_parser(["suite"])).items()
-                 if p._actions[1:]]
-        assert built == ["suite"]  # the others have only -h
+        assert (exit_outcome(cli._parse_args, argv)
+                == exit_outcome(cli.build_parser().parse_args, argv))
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))
+    @given(st.one_of(
+        st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6),
+        st.builds(lambda command, rest: [command, *rest],
+                  st.sampled_from(list(cli._COMMANDS)),
+                  st.lists(st.sampled_from(_ARGV_TOKENS), max_size=5))))
     def test_drawn_argv(self, argv):
-        assert (exit_outcome(cli.build_parser(argv).parse_args, argv)
-                == exit_outcome(full_parser().parse_args, argv))
+        assert (exit_outcome(cli._parse_args, argv)
+                == exit_outcome(cli.build_parser().parse_args, argv))
+
+    @pytest.mark.parametrize("argv,built", [
+        (["classify", "(null)"], 1),  # the command's parser alone
+        (["-h"], 8),  # the full parser: the top level and seven commands
+        (["validate", "x.tbl", "--bogus"], 9),  # both: the full one reports
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+    def test_parsers_built(self, argv, built, monkeypatch):
+        calls = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        exit_outcome(cli._parse_args, argv)
+        assert len(calls) == built
 
     @pytest.mark.parametrize("argv", [["suite", "-h"], ["quotient", "x.tbl"],
                                       ["nosuch"]], ids=" ".join)
