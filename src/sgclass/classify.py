@@ -9,11 +9,10 @@ non-closed-quotient precedent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .descriptors import (CONDITIONS, Descriptor, Group, PredicateProfile,
-                          Semilattice, describe, evaluate)
+if TYPE_CHECKING:
+    from .descriptors import Descriptor, PredicateProfile
 
 CITE_MAIN = "Thm1.4"
 CITE_PROJECTIVE = "Thm1.7"
@@ -33,8 +32,7 @@ _C_ORDER = ("periodic", "chain-finite", "subgroups-bounded", "singleton-square")
 _PROJECTIVE_ORDER = ("chain-finite", "almost-clifford", "subgroups-bounded")
 
 
-@dataclass
-class ClosednessVerdict:
+class ClosednessVerdict(NamedTuple):
     descriptor: Descriptor
     profile: PredicateProfile
     c_closed: bool
@@ -44,10 +42,11 @@ class ClosednessVerdict:
     citation: str
 
 
-def _first_failing(profile, order):
-    """The first condition of `order` the profile breaks, with its witness."""
+def _first_failing(profile, order, conditions):
+    """The first condition of `order` the profile breaks, with its witness;
+    `conditions` is `descriptors.CONDITIONS`."""
     for name in order:
-        attr, good, _ = CONDITIONS[name]
+        attr, good, _ = conditions[name]
         if getattr(profile, attr) is not good:
             return (name, profile.witness[attr])
     return None
@@ -62,16 +61,17 @@ def classify(d) -> ClosednessVerdict:
     semilattice cites its specialization, whose one condition decides all
     three verdicts.
     """
+    from .descriptors import CONDITIONS, Group, Semilattice, evaluate
     profile = evaluate(d)
-    c_failing = _first_failing(profile, _C_ORDER)
-    q_failing = _first_failing(profile, _PROJECTIVE_ORDER)
+    c_failing = _first_failing(profile, _C_ORDER, CONDITIONS)
+    q_failing = _first_failing(profile, _PROJECTIVE_ORDER, CONDITIONS)
     c_closed = c_failing is None
     ideally = q_failing is None
     if isinstance(d, Group):
-        failing = _first_failing(profile, ("subgroups-bounded",))
+        failing = _first_failing(profile, ("subgroups-bounded",), CONDITIONS)
         citation = CITE_GROUP
     elif isinstance(d, Semilattice):
-        failing = _first_failing(profile, ("chain-finite",))
+        failing = _first_failing(profile, ("chain-finite",), CONDITIONS)
         citation = CITE_SEMILATTICE
     elif not c_closed:
         failing, citation = c_failing, CITE_MAIN
@@ -89,6 +89,7 @@ def _yesno(b):
 
 def explain(verdict: ClosednessVerdict) -> str:
     """Deterministic multi-line report for one verdict."""
+    from .descriptors import CONDITIONS, describe
     p = verdict.profile
     lines = ["input: %s" % describe(verdict.descriptor)]
     if p.size is not None:

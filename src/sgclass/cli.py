@@ -1,7 +1,8 @@
 """Command-line front end: the commands validate, analyze, classify,
 quotient, power, enumerate and suite, each printing a text report or, with
 `--json`, a JSON one.  Table files are read by `core.parse_table`,
-descriptor expressions by `descriptors.parse_descriptor`.
+descriptor expressions by `descriptors.parse_descriptor`.  Only `classify`
+reads descriptors, so only it loads the descriptor layer.
 
 Exit codes: 0 success, 1 property-failure findings, 2 usage/parse errors.
 """
@@ -17,7 +18,6 @@ from .classify import classify, explain
 from .core import (PreconditionError, _decimal, _Digits, center,
                    clifford_part, h_classes, idempotents, max_chain_length,
                    natural_le, parse_table, pi_map, render_table, validate)
-from .descriptors import describe, parse_descriptor
 from .harness import (MAX_ENUM_ORDER, SUITE_CHECK_NAMES,
                       enumerate_commutative, kernel_backend, suite_reports)
 from .power import power_semigroup
@@ -165,7 +165,15 @@ def cmd_analyze(args, table):
         "max chain: %d (witness: %s)" % (length, _sorted(chain)))
 
 
+def parse_descriptor(text):
+    """`descriptors.parse_descriptor(text)`, loading that module on first
+    use."""
+    from .descriptors import parse_descriptor
+    return parse_descriptor(text)
+
+
 def _verdict_json(verdict):
+    from .descriptors import describe
     p = verdict.profile
     return {
         "input": describe(verdict.descriptor),

@@ -12,9 +12,8 @@ entries in [0, n).  Every number is ASCII decimal, -?[0-9]+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class MalformedTableError(ValueError):
@@ -109,8 +108,7 @@ def _members(m):
     return tuple(x for x in range(m.bit_length()) if m >> x & 1)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     associative: bool
     commutative: bool
     assoc_witness: Optional[tuple] = None   # first (x, y, z) with (xy)z != x(yz)

@@ -9,7 +9,6 @@ everything built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import _kernel
@@ -42,15 +41,13 @@ def enumerate_commutative(n, up_to_iso=False):
         yield _unflatten(flat)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     table: CayleyTable
     results: tuple
 

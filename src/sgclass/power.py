@@ -12,8 +12,8 @@ from .core import (CayleyTable, PreconditionError, _check_element,
                    _check_subset, _mask, _members)
 
 # The table has (2^n - 1)^2 cells, so each order quadruples the memory: at
-# order 12 (about 1.7e7 cells) `sgclass power --json` peaks near 1.2 GB on
-# 64-bit CPython 3.11.
+# order 12 (about 1.7e7 cells) `sgclass power --json` peaks near 660 MB of
+# RSS on 64-bit CPython 3.11.
 MAX_BASE_ORDER = 12
 
 

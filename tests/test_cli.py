@@ -833,6 +833,40 @@ class TestStandsAlone:
             assert run.returncode == 0, run.stderr
 
 
+# Runs commands in one fresh interpreter and prints, after the table
+# commands and again after a classify command, which of HEAVY are loaded.
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import sgclass.cli
+HEAVY = ("sgclass.descriptors", "dataclasses", "inspect")
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sgclass.cli.main(list(argv)) == 0, argv
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+for argv in (["suite", "--max-order", "2", "--json"], ["validate", "t.tbl"],
+             ["analyze", "t.tbl"], ["quotient", "t.tbl", "--ideal", "0"],
+             ["power", "t.tbl"]):
+    run(*argv)
+print(json.dumps(loaded()))
+run("classify", "(null)")
+print(json.dumps(loaded()))
+"""
+
+
+class TestImportFootprint:
+    def test_only_classify_loads_the_descriptor_layer(self, tmp_path):
+        (tmp_path / "t.tbl").write_text(L3_TEXT)
+        src = os.path.dirname(os.path.dirname(sgclass.__file__))
+        run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT],
+                             capture_output=True, text=True, timeout=60,
+                             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
+        tables, after_classify = map(json.loads, run.stdout.splitlines())
+        assert tables == []
+        assert "sgclass.descriptors" in after_classify
+
+
 def _cap_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
