@@ -15,9 +15,10 @@ import os
 import sys
 
 from .classify import classify, explain
-from .core import (PreconditionError, _decimal, _Digits, center,
-                   clifford_part, h_classes, idempotents, max_chain_length,
-                   natural_le, parse_table, pi_map, render_table, validate)
+from .core import (CayleyTable, PreconditionError, _decimal, _Digits,
+                   _members, center, clifford_part, h_classes, idempotents,
+                   max_chain_length, natural_le, parse_table, pi_map,
+                   render_table, validate)
 from .harness import (MAX_ENUM_ORDER, SUITE_CHECK_NAMES,
                       enumerate_commutative, kernel_backend, suite_reports)
 from .power import power_semigroup
@@ -29,20 +30,28 @@ from .quotients import (congruence_closure, quotient_by_congruence,
 
 def _json_chunks(obj):
     """The text of json.dumps(obj, sort_keys=True, indent=2), written faster
-    and in pieces.
+    and in pieces, where a CayleyTable anywhere in obj stands for its `op`.
 
     With an indent, `json` falls back to its pure-Python encoder, which
-    visits every table cell in Python.  Here a list whose items are all of
-    type exactly int (never bool) is written with one join over memoised
-    digit strings; every other scalar goes to the C encoder, which keeps
-    ensure_ascii, NaN and the float repr.  Dict keys must be str.
+    visits every table cell in Python.  Here a table's rows, and any other
+    list whose items are all of type exactly int (never bool), are each
+    written with one join over memoised digit strings; a table's cells are
+    such ints by construction, so they are not scanned for their type.
+    Every other scalar goes to the C encoder, which keeps ensure_ascii, NaN
+    and the float repr.  Dict keys must be str.
 
-    A top-level dict comes out key by key, and each item of a list value
-    that is not all ints as a piece of its own, so the whole document is
-    never held at once; deeper levels are written whole, which is faster.
+    A top-level dict comes out key by key, and each row of a table value or
+    item of a list value that is not all ints as a piece of its own, so the
+    whole document is never held at once; deeper levels are written whole,
+    which is faster.
     """
     scalar = json.JSONEncoder().encode
     digits = _Digits()
+
+    def ints(xs, pad):
+        inner = pad + "  "
+        body = (",\n" + inner).join(map(digits.__getitem__, xs))
+        return "[\n" + inner + body + "\n" + pad + "]"
 
     def write(x, pad):
         inner = pad + "  "
@@ -53,15 +62,17 @@ def _json_chunks(obj):
             body = sep.join([scalar(k) + ": " + write(x[k], inner)
                              for k in sorted(x)])
             return "{\n" + inner + body + "\n" + pad + "}"
-        if isinstance(x, (list, tuple)):
+        if isinstance(x, CayleyTable):
+            body = sep.join([ints(row, inner) for row in x.op])
+        elif isinstance(x, (list, tuple)):
             if not x:
                 return "[]"
             if set(map(type, x)) == {int}:
-                body = sep.join(map(digits.__getitem__, x))
-            else:
-                body = sep.join([write(v, inner) for v in x])
-            return "[\n" + inner + body + "\n" + pad + "]"
-        return scalar(x)
+                return ints(x, pad)
+            body = sep.join([write(v, inner) for v in x])
+        else:
+            return scalar(x)
+        return "[\n" + inner + body + "\n" + pad + "]"
 
     if not isinstance(obj, dict) or not obj:
         yield write(obj, "")
@@ -69,13 +80,18 @@ def _json_chunks(obj):
     for i, k in enumerate(sorted(obj)):
         yield ("{\n  " if i == 0 else ",\n  ") + scalar(k) + ": "
         v = obj[k]
-        if isinstance(v, (list, tuple)) and v and set(map(type, v)) != {int}:
-            for j, item in enumerate(v):
-                yield "[\n    " if j == 0 else ",\n    "
-                yield write(item, "    ")
-            yield "\n  ]"
+        if isinstance(v, CayleyTable):
+            items, each = v.op, ints
+        elif (isinstance(v, (list, tuple)) and v
+              and set(map(type, v)) != {int}):
+            items, each = v, write
         else:
             yield write(v, "  ")
+            continue
+        for j, item in enumerate(items):
+            yield "[\n    " if j == 0 else ",\n    "
+            yield each(item, "    ")
+        yield "\n  ]"
     yield "\n}"
 
 
@@ -218,7 +234,7 @@ def cmd_quotient(args, table):
             args.table, " ".join("%d=%d" % p for p in pairs))
     return 0, lambda: {
         "order": quotient.n,
-        "table": quotient.op,
+        "table": quotient,
         "projection": proj,
         **detail,
     }, lambda: render_table(quotient, comment=comment) + _lines(
@@ -231,8 +247,8 @@ def cmd_power(args, table):
     return 0, lambda: {
         "base_order": table.n,
         "order": ps.table.n,
-        "elements": [sorted(s) for s in ps.elements],
-        "table": ps.table.op,
+        "elements": [_members(i + 1) for i in range(ps.table.n)],
+        "table": ps.table,
     }, lambda: _lines(
         "base order: %d" % table.n,
         "subsets: %d" % ps.table.n,
@@ -260,7 +276,7 @@ def cmd_enumerate(args, table):
         "order": args.order,
         "up_to_iso": args.up_to_iso,
         "count": len(tables),
-        "tables": [t.op for t in tables],
+        "tables": tables,
     }, as_text
 
 
@@ -280,7 +296,7 @@ def cmd_suite(args, table):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(render_table(
                 report.table, comment="failed checks: %s" % ", ".join(failed)))
-        failures.append({"order": n, "index": idx, "table": report.table.op,
+        failures.append({"order": n, "index": idx, "table": report.table,
                          "failed": failed, "replay": path})
 
     def as_text():

@@ -42,7 +42,9 @@ class CayleyTable:
     `_unflatten`, which reads the order off the number of cells and builds
     the enumeration kernel's tables and the congruence quotients of
     `quotients._quotient_cells` (cells are classes of a congruence that was
-    checked or yielded by `congruences()`).
+    checked or yielded by `congruences()`).  Each of them builds plain int
+    cells, as the checks require, and `cli._json_chunks` writes cells
+    without checking their type.
     """
 
     __slots__ = ("n", "op")
@@ -434,6 +436,28 @@ def _decimal(tok) -> int:
     return int(tok)
 
 
+def _checked_row(raw, entries, lineno, n):
+    """The ints of the tokens `entries` of the line `raw`, each checked to
+    be an integer in [0, n); the first that is not is reported with its
+    column."""
+    row = []
+    col = 1
+    for tok in entries:
+        pos = raw.index(tok, col - 1) + 1
+        try:
+            v = _decimal(tok)
+        except ValueError:
+            raise TableParseError(
+                "line %d, column %d: %r is not an integer" % (lineno, pos, tok))
+        if not 0 <= v < n:
+            raise TableParseError(
+                "line %d, column %d: entry %d out of range [0, %d)"
+                % (lineno, pos, v, n))
+        row.append(v)
+        col = pos + len(tok)
+    return row
+
+
 def parse_table(text, require_associative=True) -> CayleyTable:
     """Parse the table format; rejects non-associative tables unless
     require_associative=False (validate reports them, leaves check them)."""
@@ -458,21 +482,14 @@ def parse_table(text, require_associative=True) -> CayleyTable:
         if len(entries) != n:
             raise TableParseError("line %d: expected %d entries, got %d"
                                   % (lineno, n, len(entries)))
-        row = []
-        col = 1
-        for tok in entries:
-            pos = raw.index(tok, col - 1) + 1
-            try:
-                v = _decimal(tok)
-            except ValueError:
-                raise TableParseError(
-                    "line %d, column %d: %r is not an integer" % (lineno, pos, tok))
-            if not 0 <= v < n:
-                raise TableParseError(
-                    "line %d, column %d: entry %d out of range [0, %d)"
-                    % (lineno, pos, v, n))
-            row.append(v)
-            col = pos + len(tok)
+        # a line of unsigned ASCII decimals in range is read whole; any
+        # other is read token by token, which finds a bad one's column
+        digits = "".join(entries)
+        row = None
+        if digits.isascii() and digits.isdigit():
+            row = list(map(int, entries))
+        if row is None or max(row) >= n:
+            row = _checked_row(raw, entries, lineno, n)
         rows.append(row)
     if n is None:
         raise TableParseError("no data lines")

@@ -103,6 +103,21 @@ class TestParseTable:
             parse_table(text)
         assert str(exc.value) == message
 
+    # the column counts each character of the line, a tab as one
+    @pytest.mark.parametrize("text,message", [
+        ("2\n0 0\n0\tx\n", "line 3, column 3: 'x' is not an integer"),
+        ("3\n0 0 0\n1   01\t1x\n0 0 0\n",
+         "line 3, column 8: '1x' is not an integer"),
+        ("3\n0 0 0\n0 0 0\n  1 2\t21\n",
+         "line 4, column 7: entry 21 out of range [0, 3)"),
+        ("3\n0 0 0\n0 0 0\n0 -0\t-2\n",
+         "line 4, column 6: entry -2 out of range [0, 3)"),
+    ])
+    def test_bad_entry_position(self, text, message):
+        with pytest.raises(TableParseError) as exc:
+            parse_table(text, require_associative=False)
+        assert str(exc.value) == message
+
     def test_signed_and_zero_padded_decimals_keep_their_meaning(self):
         with pytest.raises(TableParseError, match="^line 1: order must be >= 1$"):
             parse_table("-0\n")
@@ -110,6 +125,7 @@ class TestParseTable:
                            match=r"^line 2, column 1: entry -1 out of range"):
             parse_table("1\n-1\n")
         assert parse_table("02\n00 0\n0 01\n") == chain_table(2)
+        assert parse_table("2\n-0 0\n0 1\n") == chain_table(2)
 
 
 class TestParseDescriptor:
@@ -396,6 +412,32 @@ _json_st = st.recursive(
     max_leaves=12,
 )
 
+_table_st = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    min_size=n, max_size=n)).map(core.CayleyTable)
+
+# documents with tables among their leaves, at any depth
+_json_tables_st = st.recursive(
+    _table_st | _json_scalar_st | st.lists(st.integers(-3, 300)),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=8,
+)
+
+
+def _plain(obj):
+    """obj with each CayleyTable in it replaced by its op."""
+    if isinstance(obj, core.CayleyTable):
+        return obj.op
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_plain, obj))
+    return obj
+
 
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
@@ -413,6 +455,21 @@ class TestJsonWriter:
     def test_edge_cases(self, obj):
         assert "".join(cli._json_chunks(obj)) == json.dumps(
             obj, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_json_tables_st)
+    def test_tables_are_written_as_their_op(self, obj):
+        assert "".join(cli._json_chunks(obj)) == json.dumps(
+            _plain(obj), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        cyclic_table(3), [cyclic_table(1)], (chain_table(2), [cyclic_table(2)]),
+        {"t": cyclic_table(3)}, {"t": [chain_table(3), 1]},
+        {"a": {"t": cyclic_table(2)}, "b": [[cyclic_table(1)]], "c": 0},
+    ])
+    def test_table_leaves(self, obj):
+        assert "".join(cli._json_chunks(obj)) == json.dumps(
+            _plain(obj), sort_keys=True, indent=2)
 
     def test_prints_without_holding_the_document(self, monkeypatch):
         class CountingSink:
@@ -432,7 +489,8 @@ class TestJsonWriter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sink.size == len(json.dumps(obj, sort_keys=True, indent=2)) + 1
+        assert sink.size == len(json.dumps(_plain(obj), sort_keys=True,
+                                           indent=2)) + 1
         assert peak < sink.size / 4, (peak, sink.size)
 
 

@@ -11,7 +11,7 @@ class of order <= 4, five order-8 formula tables, and the non-commutative
 left-zero band and its product with Z3), its rows and the
 sha256 of the stdout of `analyze FILE` and `analyze FILE --json`, and for
 tables of order <= 3 also of `power FILE --json`.  POWER_DIGESTS below pins
-`power FILE --json` on two larger bases, one of them non-commutative.
+`power FILE --json` on three larger bases, two of them non-commutative.
 
 golden_truncate.json holds, for every expression in CASES and every
 budget in BUDGETS, the rows of `truncate(descriptor, budget)`, one string
@@ -148,14 +148,19 @@ def table_digests(name, rows, directory):
     return out
 
 
-# sha256 of the stdout of `power FILE --json`: 65,025 cells for cyclic8, and a
-# left-zero band times Z3, where a build that swaps U and V changes the bytes.
+# sha256 of the stdout of `power FILE --json`: 65,025 cells for cyclic8, and
+# left-zero bands times Z3, where a build that swaps U and V changes the bytes.
+# The order-9 one has subset masks up to 511, past one byte.
 POWER_DIGESTS = {
     "cyclic8": (cyclic_table(8),
                 "4a587b759855b1250e45d967601b60e1b53823eeeb647023038e67c11076139f"),
     "left_zero2_x_cyclic3": (
         product_table(CayleyTable([[0, 0], [1, 1]]), cyclic_table(3)),
         "1bb1e7720603b3a66c1b32041d24f7f739f1ba808dad6e1b364d22bbb9829c68"),
+    "left_zero3_x_cyclic3": (
+        product_table(CayleyTable([[x] * 3 for x in range(3)]),
+                      cyclic_table(3)),
+        "38aee05e40106fa5c83b89a961e433dc53fe64f5aca893de5b24193a95254534"),
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -91,6 +92,16 @@ class TestPowerSemigroup:
                 for j, v in enumerate(ps.elements):
                     assert ps.elements[ps.table.op[i][j]] == \
                         subset_product(table, u, v)
+
+    def test_sampled_cells_of_an_order_9_base(self):
+        # masks up to 511 need more than one byte per cell
+        table = product_table(left_zero_table(3), cyclic_table(3))
+        ps = power_semigroup(table)
+        rng = random.Random(9)
+        for _ in range(2000):
+            i, j = rng.randrange(511), rng.randrange(511)
+            assert ps.elements[ps.table.op[i][j]] == subset_product(
+                table, ps.elements[i], ps.elements[j])
 
     def test_associative_and_commutative_for_commutative_base(self, corpus3):
         for table in corpus3:
