@@ -15,7 +15,8 @@ from . import _kernel
 from .core import (CayleyTable, PreconditionError, _first_idempotent, _mask,
                    _members, _positive_int, _unflatten, center, h_classes,
                    idempotents)
-from .quotients import _lifts, _quotient_cells, congruences
+from .quotients import (Congruence, _congruence_leaves, _lifts,
+                        _quotient_cells)
 
 MAX_ENUM_ORDER = 5
 
@@ -64,8 +65,9 @@ class _Facts(NamedTuple):
     """What the checks of one `lemma_suite` call share, each computed once
     per call or, for the quotient facts, once per `known`.  Sets of
     elements are int bitmasks.  powers[x] is x, x^2, ..., x^(n+2), and
-    quotients holds (congruence, projection, quotient idempotents, quotient
-    H-classes) for every congruence of the table, in search order.
+    quotients holds (class_of, projection, quotient idempotents, quotient
+    H-classes) for every congruence of the table, in search order, class_of
+    being the congruence's restricted-growth labels.
     """
     idempotents: tuple  # ascending
     h_classes: tuple  # entry x: the H-class of x
@@ -164,32 +166,39 @@ def _check_z_sets_ascending(table, facts):
     return "e=%d k=%d" % (es[i], k)
 
 
+def _congruence_text(class_of):
+    return "congruence %r" % (
+        [sorted(c) for c in Congruence._trusted(class_of).classes],)
+
+
 def _check_quotient_idempotent_image(table, facts):
     source_e = facts.idempotents
-    for cong, proj, quotient_e, _ in facts.quotients:
+    for class_of, proj, quotient_e, _ in facts.quotients:
         image = 0
         for e in source_e:
             image |= 1 << proj[e]
         if image != quotient_e:
-            return "congruence %r" % (sorted(sorted(c) for c in cong.classes),)
+            return _congruence_text(class_of)
     return None
 
 
 def _check_quotient_h_class_lift(table, facts):
     # the lift is grouped by the congruence's classes and its image taken
     # through the projection; a finite quotient's idempotent class holds an
-    # idempotent, and the lift is one, as the idempotents commute
+    # idempotent, and the lift is one, as the idempotents commute.  A class
+    # that holds none has no lift and an empty image, which fails, as the
+    # quotient H-class holds the class itself.
     es = facts.idempotents
     subgroups = {e: _members(facts.h_classes[e]) for e in es}
-    for cong, proj, quotient_e, quotient_hs in facts.quotients:
-        lifts = _lifts(table, cong, es)
+    for class_of, proj, quotient_e, quotient_hs in facts.quotients:
+        lifts = _lifts(table, class_of, es)
         for e_class in _members(quotient_e):
             image = 0
-            for x in subgroups[lifts[e_class]]:
-                image |= 1 << proj[x]
+            if e_class in lifts:
+                for x in subgroups[lifts[e_class]]:
+                    image |= 1 << proj[x]
             if image != quotient_hs[e_class]:
-                return "congruence %r class %d" % (
-                    sorted(sorted(c) for c in cong.classes), e_class)
+                return "%s class %d" % (_congruence_text(class_of), e_class)
     return None
 
 
@@ -219,7 +228,10 @@ def lemma_suite(table, known=None) -> SuiteReport:
     one, is refused with PreconditionError before any check runs; each
     pair check then reads only the triangle x <= y of the table.
 
-    The seven checks share one `_Facts`.  Each quotient's cells come from
+    The seven checks share one `_Facts`.  The congruences come from
+    `quotients._congruence_leaves`, the search behind `congruences`, each
+    as its labels and its classes' least members, so no `Congruence` is
+    built unless a check fails.  Each quotient's cells come from
     `quotients._quotient_cells`, the builder `quotient_by_congruence` uses,
     and each lift from `quotients._lifts`, as `lift_idempotent` reads it.
     The idempotents and H-classes of each distinct quotient are computed
@@ -236,17 +248,17 @@ def lemma_suite(table, known=None) -> SuiteReport:
         known = {}
     if len(center(table)) != table.n:
         raise PreconditionError("the lemma suite requires a commutative table")
-    # every congruence comes from congruences(table), so each quotient skips
+    # every congruence comes from the search, so each quotient skips
     # quotient_by_congruence's compatibility check
     quotients = []
-    for cong in congruences(table):
-        cells, proj = _quotient_cells(table, cong)
+    for class_of, reps in _congruence_leaves(table):
+        cells, proj = _quotient_cells(table, class_of, reps)
         shared = known.get(cells)
         if shared is None:
             quotient = _unflatten(cells)
             shared = known[cells] = (_mask(idempotents(quotient)),
                                      tuple(map(_mask, h_classes(quotient))))
-        quotients.append((cong, proj) + shared)
+        quotients.append((class_of, proj) + shared)
     es, hs = shared  # the identity congruence's: the table's own
     powers = [[x] for x in table.elements]
     for seq, row in zip(powers, table.op):

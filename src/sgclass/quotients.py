@@ -6,9 +6,17 @@ from .core import (CayleyTable, PreconditionError, _check_element,
                    _check_subset, _unflatten, center, idempotents)
 
 # 6 so that the tests can run the suite over the order-6 classes, one past
-# the CLI suite's frontier of 5; the cost of the pruned search is not what
-# limits it.
+# the CLI suite's frontier of 5.  The cost of the search is not what limits
+# it: at order 7 its pair masks have 21 bits, and each element's table of
+# owed pairs at most 64 entries.
 MAX_CONGRUENCE_ORDER = 6
+
+# _PAIR_BIT[u][v]: the bit of the pair {u, v} in the congruence search's
+# pair masks, bit y(y-1)/2 + x for x < y; 0 when u == v
+_PAIR_BIT = tuple(
+    tuple(0 if u == v else 1 << (max(u, v) * (max(u, v) - 1) // 2 + min(u, v))
+          for v in range(MAX_CONGRUENCE_ORDER))
+    for u in range(MAX_CONGRUENCE_ORDER))
 
 
 def ideal_violation(table, subset):
@@ -183,24 +191,25 @@ def quotient_by_congruence(table, cong) -> tuple:
     `_quotient_cells`, the one quotient builder.
     """
     _check_congruence(table, cong)
-    cells, proj = _quotient_cells(table, cong)
+    # class k's least member is the first element labeled k
+    reps = []
+    for x, c in enumerate(cong.class_of):
+        if c == len(reps):
+            reps.append(x)
+    cells, proj = _quotient_cells(table, cong.class_of, reps)
     return _unflatten(cells), proj
 
 
-def _quotient_cells(table, cong) -> tuple:
+def _quotient_cells(table, class_of, reps) -> tuple:
     """The quotient of the table by one of its congruences, as its flat
-    row-major cells, and the projection onto its classes.
+    row-major cells, and the projection onto its classes, which is class_of.
 
-    No compatibility check: the congruence must be one of the table's.
-    Class k stands as its least member, the first element labeled k.
+    The congruence is given by its restricted-growth labels class_of and
+    reps, the least member of each class, by which the class stands.  No
+    compatibility check: the congruence must be one of the table's.
     """
-    cf = cong.class_of
-    reps = []
-    for x, c in enumerate(cf):
-        if c == len(reps):
-            reps.append(x)
     op = table.op
-    return tuple([cf[op[a][b]] for a in reps for b in reps]), cf
+    return tuple([class_of[op[a][b]] for a in reps for b in reps]), class_of
 
 
 def rees_quotient(table, ideal) -> tuple:
@@ -237,84 +246,113 @@ def lift_idempotent(table, cong, e_class) -> int:
     if (not isinstance(e_class, int) or isinstance(e_class, bool)
             or not 0 <= e_class < max(cong.class_of) + 1):
         raise PreconditionError("class index %r out of range" % (e_class,))
-    lifts = _lifts(table, cong, sorted(idempotents(table)))
+    lifts = _lifts(table, cong.class_of, sorted(idempotents(table)))
     if e_class not in lifts:
         raise PreconditionError("class %d is not idempotent in the quotient" % e_class)
     return lifts[e_class]
 
 
-def _lifts(table, cong, es) -> dict:
-    """Each idempotent class's lift, keyed by class: the product of the
-    idempotents in it, in one pass over the ascending idempotents es."""
+def _lifts(table, class_of, es) -> dict:
+    """Each idempotent class's lift, keyed by its label in class_of: the
+    product of the idempotents in it, in one pass over the ascending
+    idempotents es."""
     op = table.op
-    cf = cong.class_of
     lifts = {}
     for e in es:
-        s = lifts.get(cf[e])
-        lifts[cf[e]] = e if s is None else op[s][e]
+        s = lifts.get(class_of[e])
+        lifts[class_of[e]] = e if s is None else op[s][e]
     return lifts
 
 
 def congruences(table):
-    """All congruences of the table, in restricted-growth-string order.
+    """All congruences of the table, in restricted-growth-string order, the
+    order of their `class_of` labels.  Guarded to order <=
+    MAX_CONGRUENCE_ORDER.
+
+    A generator: the guard and the whole search, `_congruence_leaves`, run
+    at the first `next()`, and the leaves are then yielded in order, each
+    built with `Congruence._trusted` from its labels alone.
+    """
+    for class_of, _ in _congruence_leaves(table):
+        yield Congruence._trusted(class_of)
+
+
+def _congruence_leaves(table) -> list:
+    """(class_of, reps) for every congruence of the table, in
+    restricted-growth-string order: the labels a `Congruence` stores, and
+    each class's least member.  Guarded to order <= MAX_CONGRUENCE_ORDER.
 
     Elements are labeled 0, 1, ... in turn, each with a class label at most
     one past the largest so far, so every set partition has exactly one
     labeling and the labelings come in lexicographic order.  A partition
-    is a congruence iff x ~ y implies u ~ v for every quadruple with
-    (u, v) = (ax, ay) or (xa, ya).  Each quadruple is checked as soon as
-    the largest of its four elements is labeled, and a broken one cuts the
-    branch, so the leaves are exactly the congruences.  Each leaf's labels
-    are already the `class_of` a congruence stores, so it is built with
-    `Congruence._trusted` from them alone.  Guarded to order <=
-    MAX_CONGRUENCE_ORDER.
+    is a congruence iff x ~ y implies ax ~ ay and xa ~ ya for every a.
 
-    A generator: the guard and the whole search run at the first `next()`,
-    which collects every leaf by a plain recursion rather than through a
-    chain of nested generators, and the leaves are then yielded in order.
+    The search state is two bitmasks over the pairs {x < y}, pair (x, y)
+    at bit y(y-1)/2 + x, so the pairs inside 0..i are the low i(i+1)/2
+    bits: `merged`, the pairs already in one class, and `owed`, the pairs
+    that some merged pair forces.  Labeling i merges it with each member x
+    of its class and owes what x ~ i forces; a pair inside 0..i that is
+    owed but not merged can never be merged later, so it cuts the branch,
+    and the leaves are exactly the congruences.
     """
     n = table.n
     if n > MAX_CONGRUENCE_ORDER:
         raise PreconditionError(
             "congruence enumeration is limited to order <= %d" % MAX_CONGRUENCE_ORDER)
-    # (ax, ay) is row a at x and y, (xa, ya) column a; a table equal to its
-    # transpose gives the same pairs twice, so only its rows are read
+    # (xa, ya) pairs row x with row y, (ax, ay) column x with column y; a
+    # table equal to its transpose gives the same pairs twice, so only its
+    # rows are read
     op = table.op
     columns = tuple(zip(*op))
     sides = (op,) if columns == op else (op, columns)
-    due = [set() for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
+    # owes[y][m]: the pairs forced by x ~ y for the x in the bitmask m < 2^y
+    owes = []
+    for y in range(n):
+        owed_by = [0]
+        for x in range(y):
+            forced = 0
             for side in sides:
-                for row in side:
-                    u, v = row[x], row[y]
-                    if u > v:
-                        u, v = v, u
-                    # x ~ y always implies itself
-                    if u != v and (u != x or v != y):
-                        due[max(y, v)].add((x, y, u, v))
-    due = [tuple(checks) for checks in due]
+                for u, v in zip(side[x], side[y]):
+                    forced |= _PAIR_BIT[u][v]
+            owed_by += [f | forced for f in owed_by]
+        owes.append(owed_by)
     label = [0] * n
+    members = [0] * n  # entry c: the bitmask of class c
     leaves = []
+    last = n - 1
 
-    def extend(i, top):
-        if i == n:
-            leaves.append(Congruence._trusted(tuple(label)))
-            return
-        checks = due[i]
-        for c in range(top + 2):
-            label[i] = c
-            for x, y, u, v in checks:
-                if label[x] == label[y] and label[u] != label[v]:
-                    break
+    def extend(i, merged, owed, reps):
+        # reps: the least member of each class so far; i joins one of those
+        # classes or opens the next
+        shift = i * (i - 1) // 2  # the bit of the pair (0, i)
+        inside = (1 << (shift + i)) - 1  # the pairs inside 0..i
+        owes_i = owes[i]
+        k = len(reps)
+        for c in range(k):
+            m = members[c]
+            into = merged | m << shift  # and the pairs (x, i), x in class c
+            due = owed | owes_i[m]
+            if not due & inside & ~into:
+                label[i] = c
+                if i == last:
+                    leaves.append((tuple(label), reps))
+                else:
+                    members[c] = m | 1 << i
+                    extend(i + 1, into, due, reps)
+                    members[c] = m
+        if not owed & inside & ~merged:
+            label[i] = k
+            if i == last:
+                leaves.append((tuple(label), reps + (i,)))
             else:
-                extend(i + 1, max(top, c))
+                members[k] = 1 << i
+                extend(i + 1, merged, owed, reps + (i,))
 
-    extend(0, -1)
+    extend(0, 0, 0, ())
     # extend's closure holds extend itself; emptying it lets refcounting,
     # not the cyclic collector, free the search state
     del extend
-    yield from leaves
+    return leaves
 
 
 __all__ = [

@@ -73,8 +73,8 @@ def collapsed_projections(monkeypatch):
     """
     real = harness._quotient_cells
 
-    def collapsed(table, cong):
-        cells, proj = real(table, cong)
+    def collapsed(table, class_of, reps):
+        cells, proj = real(table, class_of, reps)
         return cells, tuple(0 for _ in proj)
 
     monkeypatch.setattr(harness, "_quotient_cells", collapsed)

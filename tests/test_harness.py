@@ -5,10 +5,11 @@ import pytest
 from sgclass import _kernel, cli, harness
 from sgclass._kernel import canonical_form, commutative_tables
 from sgclass.core import (CayleyTable, PreconditionError, chain_table,
-                          cyclic_table, h_classes, idempotents, pi_map,
-                          taimanov_table, validate)
+                          cyclic_table, h_classes, idempotents, null_table,
+                          pi_map, taimanov_table, validate)
 from sgclass.harness import CheckResult, enumerate_commutative, lemma_suite
-from sgclass.quotients import quotient_by_congruence, rees_quotient
+from sgclass.quotients import (congruences, quotient_by_congruence,
+                               rees_quotient)
 
 from oracles import (SUITE_FAILURES, enumerate_commutative_naive,
                      iso_class_count, labeled_tables, singleton_square_scan)
@@ -138,34 +139,35 @@ class TestLemmaSuite:
     def test_one_sweep_one_projection_per_congruence_one_table_per_quotient(
             self, corpus4, monkeypatch):
         calls = {"congruences": 0, "projections": 0, "tables": 0}
-        real_congruences = harness.congruences
+        real_leaves = harness._congruence_leaves
         real_cells = harness._quotient_cells
         real_unflatten = harness._unflatten
 
-        def counted_congruences(table):
+        def counted_leaves(table):
             calls["congruences"] += 1
-            return real_congruences(table)
+            return real_leaves(table)
 
-        def counted_cells(table, cong):
+        def counted_cells(table, class_of, reps):
             calls["projections"] += 1
-            return real_cells(table, cong)
+            return real_cells(table, class_of, reps)
 
         def counted_unflatten(flat):
             calls["tables"] += 1
             return real_unflatten(flat)
 
-        monkeypatch.setattr(harness, "congruences", counted_congruences)
+        monkeypatch.setattr(harness, "_congruence_leaves", counted_leaves)
         monkeypatch.setattr(harness, "_quotient_cells", counted_cells)
         monkeypatch.setattr(harness, "_unflatten", counted_unflatten)
         for table in corpus4:
             calls.update(congruences=0, projections=0, tables=0)
             assert lemma_suite(table).ok
-            congs = list(real_congruences(table))
+            congs = list(congruences(table))
             quotients = {quotient_by_congruence(table, c)[0].op for c in congs}
             assert calls == {"congruences": 1, "projections": len(congs),
                              "tables": len(quotients)}
             # the cells are the quotient table's rows, flattened
-            assert {real_cells(table, c)[0] for c in congs} == \
+            assert {real_cells(table, *leaf)[0]
+                    for leaf in real_leaves(table)} == \
                 {sum(q, ()) for q in quotients}
 
 
@@ -180,7 +182,7 @@ class TestLemmaSuite:
         distinct = {n: 0 for n in range(1, 6)}
         congruence_count = 0
         for table in corpus5:
-            congs = list(harness.congruences(table))
+            congs = list(congruences(table))
             quotients = {quotient_by_congruence(table, c)[0].op for c in congs}
             distinct[table.n] += len(quotients)
             congruence_count += len(congs)
@@ -198,7 +200,7 @@ class TestLemmaSuite:
         # the tables and all their quotients, orders 1..5
         distinct = {quotient_by_congruence(table, cong)[0].op
                     for table in corpus5
-                    for cong in harness.congruences(table)}
+                    for cong in congruences(table)}
         assert len(distinct) == 446
         calls = {"h_classes": 0, "idempotents": 0}
         for name in calls:
@@ -249,7 +251,7 @@ def semilattice_congruence_mismatch(table):
     share no code, so each checks the other.
     """
     op = table.op
-    bands = [c.class_of for c in harness.congruences(table)
+    bands = [c.class_of for c in congruences(table)
              if all(c.class_of[op[x][x]] == c.class_of[x]
                     for x in table.elements)]
 
@@ -291,7 +293,7 @@ def classes6():
 class TestOrderSix:
     def test_congruence_total(self, classes6):
         assert len(classes6) == 2143
-        assert sum(1 for t in classes6 for _ in harness.congruences(t)) == 51993
+        assert sum(1 for t in classes6 for _ in congruences(t)) == 51993
 
     def test_every_class_passes_with_one_shared_memo(self, monkeypatch):
         memos = []
@@ -349,6 +351,25 @@ class TestSuiteFailurePath:
         assert lemma_suite(cyclic_table(2)).failures == (
             CheckResult("quotient-h-class-lift", False,
                         "congruence [[0], [1]] class 0"),
+        )
+
+    def test_a_quotient_idempotent_class_without_a_lift_fails(
+            self, monkeypatch):
+        # every two-class quotient of the null semigroup {0, 1, 2} has the
+        # cells (0, 0, 0, 0); making class 1 idempotent there leaves it
+        # with no idempotent of the table to lift
+        real = harness._quotient_cells
+
+        def corrupted(table, *leaf):
+            cells, proj = real(table, *leaf)
+            return (0, 0, 0, 1) if cells == (0,) * 4 else cells, proj
+
+        monkeypatch.setattr(harness, "_quotient_cells", corrupted)
+        assert lemma_suite(null_table(3)).failures == (
+            CheckResult("quotient-idempotent-image", False,
+                        "congruence [[0, 1], [2]]"),
+            CheckResult("quotient-h-class-lift", False,
+                        "congruence [[0, 1], [2]] class 1"),
         )
 
     # each check below reads only the facts it is handed, as bitmasks; a

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgclass import (PreconditionError, chain_table, cyclic_table, h_class,
-                     idempotents, null_table, product_table)
+from sgclass import (CayleyTable, PreconditionError, chain_table,
+                     cyclic_table, h_class, idempotents, null_table,
+                     product_table)
 from sgclass._kernel import canonical_form
 from sgclass.quotients import (Congruence, congruence_closure,
                                congruence_violation, congruences,
@@ -43,6 +44,19 @@ def assert_least_congruence(table, pairs):
     assert least == [closure]
     assert hash(closure) == hash(least[0])
     assert type(closure.class_of) is tuple
+
+
+def bell(n):
+    """The number of set partitions of n elements, from the Bell triangle:
+    each row starts with the last entry of the row before, and each next
+    entry adds the entry above it."""
+    row = [1]
+    for _ in range(n - 1):
+        below = [row[-1]]
+        for above in row:
+            below.append(below[-1] + above)
+        row = below
+    return row[-1]
 
 
 def bell_filter_congruences(table):
@@ -352,13 +366,23 @@ class TestCongruenceEnumeration:
         # oracle: congruences are exactly the compatible partitions
         assert len(list(congruences(l3))) == 4
         assert len(list(congruences(z4))) == 3  # one per subgroup of Z4
+        # a chain's congruences cut it into intervals, one per subset of
+        # the n - 1 gaps between neighbours
+        for n in range(1, 7):
+            assert len(list(congruences(chain_table(n)))) == 2 ** (n - 1)
 
     def test_constant_operation_accepts_every_partition(self):
-        # Bell(4) = 15 partitions, all compatible with a null table
-        assert len(list(congruences(null_table(4)))) == 15
+        # Bell(n) partitions, all compatible with a null table
+        assert [bell(n) for n in range(1, 7)] == [1, 2, 5, 15, 52, 203]
+        for n in range(1, 7):
+            assert len(list(congruences(null_table(n)))) == bell(n)
 
     def test_prime_cyclic_group_has_only_trivial_quotients(self):
         assert len(list(congruences(cyclic_table(5)))) == 2
+        # Z_n has one congruence per subgroup, so one per divisor of n
+        for n in range(1, 7):
+            divisors = sum(1 for k in range(1, n + 1) if n % k == 0)
+            assert len(list(congruences(cyclic_table(n)))) == divisors
 
     def test_guard(self):
         with pytest.raises(PreconditionError):
@@ -382,10 +406,24 @@ class TestCongruenceEnumeration:
                 list(bell_filter_congruences(table))
 
     def test_same_list_as_bell_filter_beside_a_left_zero_band(self, lz2):
-        for right in (cyclic_table(3), chain_table(3)):
-            table = product_table(lz2, right)
+        rz2 = CayleyTable([[0, 1], [0, 1]])  # right-zero: xy = y
+        for table in (product_table(lz2, cyclic_table(3)),
+                      product_table(lz2, chain_table(3)),
+                      product_table(rz2, chain_table(3))):
             assert list(congruences(table)) == \
                 list(bell_filter_congruences(table))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_list_as_bell_filter_on_random_operations(self, data):
+        # neither associative nor commutative, so both translation sides
+        # force pairs
+        n = data.draw(st.integers(1, 5))
+        cells = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n,
+                                   max_size=n * n))
+        table = CayleyTable([cells[i * n:(i + 1) * n] for i in range(n)])
+        assert list(congruences(table)) == \
+            list(bell_filter_congruences(table))
 
     def test_totals_per_order(self, corpus5):
         totals = {}

@@ -13,7 +13,7 @@ import pytest
 from sgclass import CayleyTable, cyclic_table, harness, product_table
 from sgclass.core import parse_table, render_table
 from sgclass.power import power_semigroup
-from sgclass.quotients import (Congruence, congruences,
+from sgclass.quotients import (Congruence, _congruence_leaves, congruences,
                                quotient_by_congruence, rees_quotient)
 
 from oracles import generated_ideal
@@ -79,9 +79,15 @@ def test_searched_congruences_equal_checked_ones(corpus5):
 
 def test_suite_quotients_equal_checked_ones(corpus5):
     # the suite skips quotient_by_congruence's check for searched congruences
+    # and reads each class's least member from the search
     for t in corpus5:
-        for cong in congruences(t):
-            cells, proj = harness._quotient_cells(t, cong)
+        congs = list(congruences(t))
+        leaves = _congruence_leaves(t)
+        assert [class_of for class_of, _ in leaves] == \
+            [cong.class_of for cong in congs]
+        for cong, (class_of, reps) in zip(congs, leaves):
+            assert reps == tuple(min(c) for c in cong.classes)
+            cells, proj = harness._quotient_cells(t, class_of, reps)
             quotient = harness._unflatten(cells)
             assert_checked_equal(quotient)
             assert (quotient, proj) == quotient_by_congruence(t, cong)
