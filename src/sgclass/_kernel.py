@@ -14,16 +14,19 @@ _RELABELINGS = {}
 
 
 def _relabelings(n):
-    """(perm, src) for every non-identity relabeling of 0..n-1.
+    """(perm, src, settles) for every non-identity relabeling of 0..n-1.
 
     The relabeled image of a flat table f has perm[f[src[k]]] at flat index k.
+    settles[w] is the one v with perm[v] = w and the bitmask of the v with
+    perm[v] < w.
     """
     if n not in _RELABELINGS:
         out = []
         for perm in permutations(range(n)):
             inv = sorted(range(n), key=perm.__getitem__)
-            out.append((perm, tuple(inv[i] * n + inv[j]
-                                    for i in range(n) for j in range(n))))
+            out.append((perm, tuple(a * n + b for a in inv for b in inv),
+                        tuple((v, sum(1 << u for u in inv[:w]))
+                              for w, v in enumerate(inv))))
         _RELABELINGS[n] = tuple(out[1:])  # out[0] is the identity
     return _RELABELINGS[n]
 
@@ -58,17 +61,17 @@ def commutative_tables(n, lex_least=False):
     orientations, so the triples that read the new cell as (xy)z are found
     without a scan of the whole table.
 
-    Every relabeling is carried down the walk as (perm, src, k, settles),
-    live while its image equals the table before k.  Once cell c is set,
-    the set cells, mirrored, fill the flat table up to ends[c], and
+    Every relabeling is carried down the walk as its `_relabelings` entry
+    plus k, live while its image equals the table before k.  Once cell c is
+    set, the set cells, mirrored, fill the flat table up to ends[c], and
     `_advance` takes a woken relabeling on until it is larger (dropped for
     the subtree), smaller (the branch is cut) or undecided.  Undecided, it
     waits in by_pos[ends[c]], or on its unset source cell in by_src, filed
     under the one value v with perm[v] equal to the table at k; that cell's
     `cuts` stacks the bitmask of the v with perm[v] below it, each of which
-    cuts the branch untested.  Setting a cell reads only its own buckets,
-    which nothing below it changes, and a node pops the relabelings it
-    placed.
+    cuts the branch untested.  Both come from settles.  Setting a cell reads
+    only its own buckets, which its mirror shares and nothing below it
+    changes, and a node pops the relabelings it placed.
 
     Every labeled table relabels exactly one class, so the labeled output
     is the set of the classes' images under every relabeling, sorted.
@@ -85,14 +88,11 @@ def commutative_tables(n, lex_least=False):
             for i, j in cells]
     by_src = [[[] for _ in rng] for _ in flat]
     cuts = [[0] for _ in flat]
+    # a cell and its mirror are set together, so they share their buckets
+    for i, j in cells:
+        by_src[j * n + i], cuts[j * n + i] = by_src[i * n + j], cuts[i * n + j]
     by_pos = [[] for _ in range(n * n + 1)]
-    for perm, src in _relabelings(n):
-        inv = sorted(rng, key=perm.__getitem__)
-        # entry w: the one v with perm[v] = w, the bitmask of the v below it
-        settles = tuple((inv[w], sum(1 << v for v in inv[:w])) for w in rng)
-        # a symmetric table holds the same value in the upper triangle
-        src = tuple(min(p, p % n * n + p // n) for p in src)
-        by_pos[0].append((perm, src, 0, settles))
+    by_pos[0].extend(live + (0,) for live in _relabelings(n))
     wakes = [(by_src[i * n + j], cuts[i * n + j],
               by_pos[ends[c - 1] if c else 0:ends[c]])
              for c, (i, j) in enumerate(cells)]
@@ -145,7 +145,7 @@ def commutative_tables(n, lex_least=False):
             pv.extend(own)
             if consistent(i, j, v):
                 placed = []
-                for perm, src, k, settles in going[v] + woken:
+                for perm, src, settles, k in going[v] + woken:
                     k = _advance(flat, perm, src, k, end)
                     if k is None:
                         continue
@@ -153,11 +153,11 @@ def commutative_tables(n, lex_least=False):
                         break
                     if k == end:
                         bucket = by_pos[k]
-                        bucket.append((perm, src, k, settles))
+                        bucket.append((perm, src, settles, k))
                     else:
                         t, below = settles[flat[k]]
                         bucket = by_src[src[k]][t]
-                        bucket.append((perm, src, k + 1, settles))
+                        bucket.append((perm, src, settles, k + 1))
                         if below:
                             stack = cuts[src[k]]
                             stack.append(stack[-1] | below)
@@ -177,7 +177,7 @@ def commutative_tables(n, lex_least=False):
     if lex_least:
         return out
     labeled = set(out)
-    for perm, src in _relabelings(n):
+    for perm, src, _ in _relabelings(n):
         labeled.update(tuple(perm[f[s]] for s in src) for f in out)
     return sorted(labeled)
 
@@ -191,10 +191,10 @@ def is_canonical(flat, n, rows):
     holds for every completion of a partial table.
     """
     return all(_advance(flat, perm, src, 0, rows * n) != -1
-               for perm, src in _relabelings(n))
+               for perm, src, _ in _relabelings(n))
 
 
 def canonical_form(flat, n):
     """Lexicographically least relabeling of the table."""
     return min([tuple(flat)] + [tuple(perm[flat[s]] for s in src)
-                                for perm, src in _relabelings(n)])
+                                for perm, src, _ in _relabelings(n)])

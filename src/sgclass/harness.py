@@ -15,8 +15,8 @@ from . import _kernel
 from .core import (CayleyTable, PreconditionError, _first_idempotent, _mask,
                    _members, _positive_int, _unflatten, center, h_classes,
                    idempotents)
-from .quotients import (Congruence, _congruence_leaves, _lifts,
-                        _quotient_cells)
+from .quotients import (Congruence, _check_congruence_order,
+                        _congruence_leaves, _lifts, _quotient_cells)
 
 MAX_ENUM_ORDER = 5
 
@@ -278,7 +278,10 @@ def suite_reports(max_order):
     """(order, index, report) for the lex-least table of each class at
     orders 1..max_order, in `enumerate --up-to-iso` order, all sharing one
     `known`, which keeps no top-order table's own entry past its report.
+    A max_order that the congruence search refuses is refused at the first
+    `next()`, before any walk.
     """
+    _check_congruence_order(max_order)
     known = {}
     for n in range(1, max_order + 1):
         tables = _kernel.commutative_tables(n, lex_least=True)

@@ -8,15 +8,12 @@ from .core import (CayleyTable, PreconditionError, _check_element,
 # 6 so that the tests can run the suite over the order-6 classes, one past
 # the CLI suite's frontier of 5.  The cost of the search is not what limits
 # it: at order 7 its pair masks have 21 bits, and each element's table of
-# owed pairs at most 64 entries.
+# owed pairs at most 64 entries.  The search numbers the pairs for the order
+# it searches, so only this guard reads the bound, and raising it at run
+# time is enough to search a larger table.
 MAX_CONGRUENCE_ORDER = 6
 
-# _PAIR_BIT[u][v]: the bit of the pair {u, v} in the congruence search's
-# pair masks, bit y(y-1)/2 + x for x < y; 0 when u == v
-_PAIR_BIT = tuple(
-    tuple(0 if u == v else 1 << (max(u, v) * (max(u, v) - 1) // 2 + min(u, v))
-          for v in range(MAX_CONGRUENCE_ORDER))
-    for u in range(MAX_CONGRUENCE_ORDER))
+_PAIR_BITS = {}  # order n -> entry [u][v]: the bit of {u, v}, 0 if u == v
 
 
 def ideal_violation(table, subset):
@@ -264,6 +261,12 @@ def _lifts(table, class_of, es) -> dict:
     return lifts
 
 
+def _check_congruence_order(n):
+    if n > MAX_CONGRUENCE_ORDER:
+        raise PreconditionError(
+            "congruence enumeration is limited to order <= %d" % MAX_CONGRUENCE_ORDER)
+
+
 def congruences(table):
     """All congruences of the table, in restricted-growth-string order, the
     order of their `class_of` labels.  Guarded to order <=
@@ -296,9 +299,12 @@ def _congruence_leaves(table) -> list:
     and the leaves are exactly the congruences.
     """
     n = table.n
-    if n > MAX_CONGRUENCE_ORDER:
-        raise PreconditionError(
-            "congruence enumeration is limited to order <= %d" % MAX_CONGRUENCE_ORDER)
+    _check_congruence_order(n)
+    pair_bit = _PAIR_BITS.get(n)
+    if pair_bit is None:
+        pair_bit = _PAIR_BITS[n] = tuple(tuple(
+            0 if u == v else 1 << (max(u, v) * (max(u, v) - 1) // 2 + min(u, v))
+            for v in range(n)) for u in range(n))
     # (xa, ya) pairs row x with row y, (ax, ay) column x with column y; a
     # table equal to its transpose gives the same pairs twice, so only its
     # rows are read
@@ -313,7 +319,7 @@ def _congruence_leaves(table) -> list:
             forced = 0
             for side in sides:
                 for u, v in zip(side[x], side[y]):
-                    forced |= _PAIR_BIT[u][v]
+                    forced |= pair_bit[u][v]
             owed_by += [f | forced for f in owed_by]
         owes.append(owed_by)
     label = [0] * n

@@ -335,6 +335,19 @@ class TestSuiteReports:
         assert collapsed == any(not r.passed
                                 for *_, results in fresh for r in results)
 
+    def test_refuses_past_the_congruence_order_before_any_walk(
+            self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(_kernel, "commutative_tables",
+                            lambda n, lex_least=False: walked.append(n) or [])
+        reports = harness.suite_reports(7)
+        with pytest.raises(PreconditionError,
+                           match=r"limited to order <= 6"):
+            next(reports)
+        assert walked == []
+        assert [n for n, _, _ in harness.suite_reports(6)] == []
+        assert walked == [1, 2, 3, 4, 5, 6]
+
 
 class TestSuiteFailurePath:
     def test_quotient_checks_report_the_first_failing_congruence(

@@ -27,7 +27,7 @@ from oracles import labeled_prefixes, labeled_tables
 
 def ungrouped_is_canonical(flat, n, rows):
     end = rows * n
-    for perm, src in _relabelings(n):
+    for perm, src, _ in _relabelings(n):
         for k in range(end):
             a = flat[src[k]]
             if a < 0:
@@ -99,13 +99,28 @@ def test_grouped_agrees_with_ungrouped_on_partial_tables(n):
 
 def automorphism_count(flat, n):
     count = 1  # the identity
-    for perm, src in _relabelings(n):
+    for perm, src, _ in _relabelings(n):
         for k in range(n * n):
             if perm[flat[src[k]]] != flat[k]:
                 break
         else:
             count += 1
     return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_relabeling_data_is_read_from_perm(n):
+    # src[i * n + j] holds the cell that perm carries to (i, j); settles[w]
+    # the v with perm[v] = w and the bitmask of the v with perm[v] < w
+    rels = _relabelings(n)
+    assert len(rels) == factorial(n) - 1
+    assert tuple(range(n)) not in [perm for perm, _, _ in rels]
+    for perm, src, settles in rels:
+        assert src == tuple(perm.index(i) * n + perm.index(j)
+                            for i in range(n) for j in range(n))
+        assert settles == tuple(
+            (perm.index(w), sum(1 << v for v in range(n) if perm[v] < w))
+            for w in range(n))
 
 
 @lru_cache(maxsize=None)

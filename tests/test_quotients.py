@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from sgclass import (CayleyTable, PreconditionError, chain_table,
                      cyclic_table, h_class, idempotents, null_table,
                      product_table)
+from sgclass import quotients
 from sgclass._kernel import canonical_form
+from sgclass.harness import lemma_suite
 from sgclass.quotients import (Congruence, congruence_closure,
                                congruence_violation, congruences,
                                ideal_violation, lift_idempotent,
@@ -393,6 +395,16 @@ class TestCongruenceEnumeration:
         with pytest.raises(PreconditionError,
                            match="limited to order <= 6"):
             next(search)
+
+    def test_raising_the_guard_at_run_time_searches_order_7(self,
+                                                             monkeypatch):
+        # the search numbers its pairs for the order it searches, so the
+        # guard is the only reading of the bound: Bell(7), 2^6 and d(7)
+        monkeypatch.setattr(quotients, "MAX_CONGRUENCE_ORDER", 7)
+        assert bell(7) == 877
+        assert [len(list(congruences(f(7))))
+                for f in (null_table, chain_table, cyclic_table)] == [877, 64, 2]
+        assert lemma_suite(cyclic_table(7)).ok
 
     def test_same_list_as_bell_filter_on_corpus5(self, corpus5):
         for table in corpus5:
