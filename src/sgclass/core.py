@@ -37,14 +37,13 @@ class CayleyTable:
 
     `_trusted` skips the checks and is used only where every cell is in
     range by construction: the power-semigroup recurrence (cells are subset
-    indices), `parse_table` after it has checked every row and entry,
-    `rees_quotient` (cells are classes of a Rees projection), and
+    indices), `parse_table` after it has checked every row and entry, and
     `_unflatten`, which reads the order off the number of cells and builds
-    the enumeration kernel's tables and the congruence quotients of
+    the enumeration kernel's tables and the quotients of
     `quotients._quotient_cells` (cells are classes of a congruence that was
-    checked or yielded by `congruences()`).  Each of them builds plain int
-    cells, as the checks require, and `cli._json_chunks` writes cells
-    without checking their type.
+    checked or yielded by `congruences()`, or of a Rees projection).  Each
+    of them builds plain int cells, as the checks require, and
+    `cli._json_chunks` writes cells without checking their type.
     """
 
     __slots__ = ("n", "op")

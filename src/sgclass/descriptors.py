@@ -168,9 +168,9 @@ class PredicateProfile:
     """The classification predicates of one commutative semigroup.
 
     size None means countably infinite.  exponent witnesses
-    subgroups_bounded when it holds: the exact lcm for group and
-    semilattice composites, the largest per-subgroup exponent for finite
-    tables.  witness maps each predicate name to a short reason string.
+    subgroups_bounded when it holds: a bound that every subgroup's exponent
+    divides, the lcm of the subgroups' exponents for every constructor.
+    witness maps each predicate name to a short reason string.
     """
 
     size: Optional[int]
@@ -225,7 +225,7 @@ class FiniteTable(Descriptor):
 
     def profile(self):
         t = self.table
-        exponent = max(group_exponent(t, e) for e in idempotents(t))
+        exponent = math.lcm(*(group_exponent(t, e) for e in idempotents(t)))
         cliff = clifford_part(t) == frozenset(t.elements)
         w = dict.fromkeys(("cardinality", "periodic", "chain_finite",
                            "subgroups_bounded", "almost_clifford",

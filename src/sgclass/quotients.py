@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .core import (CayleyTable, PreconditionError, _check_element,
-                   _check_subset, _unflatten, center, idempotents)
+from .core import (PreconditionError, _check_element, _check_subset,
+                   _unflatten, center, idempotents)
 
 # 6 so that the tests can run the suite over the order-6 classes, one past
 # the CLI suite's frontier of 5.  The cost of the search is not what limits
@@ -201,8 +201,9 @@ def _quotient_cells(table, class_of, reps) -> tuple:
     """The quotient of the table by one of its congruences, as its flat
     row-major cells, and the projection onto its classes, which is class_of.
 
-    The congruence is given by its restricted-growth labels class_of and
-    reps, the least member of each class, by which the class stands.  No
+    The congruence is given by class_of, each element's class label, and
+    reps, one member of each class in label order, by which it stands: the
+    restricted-growth labels and least members, or a Rees projection's.  No
     compatibility check: the congruence must be one of the table's.
     """
     op = table.op
@@ -222,11 +223,8 @@ def rees_quotient(table, ideal) -> tuple:
     proj = [0] * table.n
     for r, x in enumerate(keep):
         proj[x] = r + 1
-    size = len(keep) + 1
-    rows = [[0] * size]
-    for x in keep:
-        rows.append([0] + [proj[table.op[x][y]] for y in keep])
-    return CayleyTable._trusted(rows), tuple(proj)
+    cells, proj = _quotient_cells(table, tuple(proj), [min(ideal)] + keep)
+    return _unflatten(cells), proj
 
 
 def lift_idempotent(table, cong, e_class) -> int:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sgclass import (CayleyTable, adjoin_identity, adjoin_zero,
                      antichain_zero_table, chain_table, clifford_part,
-                     cyclic_table, group_exponent, idempotents,
+                     cyclic_table, group_exponent, h_class, idempotents,
                      max_chain_length, null_table, product_table,
                      taimanov_table, validate)
 from sgclass.classify import classify
@@ -502,6 +502,30 @@ class TestFiniteIdentities:
             table = product_table(a, b)
             assert d.truncate(table.n) == table
             assert predicates(d) == predicates(FiniteTable(table)), (a, b)
+
+    def test_finite_table_exponent_is_divided_by_every_subgroup_exponent(
+            self, corpus5):
+        # every subgroup lies in a maximal one, the H-class of an
+        # idempotent e, so its exponent divides the table's exponent iff the
+        # order of each x in those H-classes does: the least k with x^k = e
+        mixed = []
+        for t in corpus5:
+            exponent = evaluate(FiniteTable(t)).exponent
+            orders = set()
+            for e in idempotents(t):
+                for x in h_class(t, e):
+                    k, power = 1, x
+                    while power != e:
+                        k, power = k + 1, t.op[power][x]
+                    orders.add(k)
+            assert all(exponent % k == 0 for k in orders), (t, orders)
+            if max(orders) != exponent:
+                mixed.append(t)
+        # the order-5 classes with subgroups Z2 and Z3
+        assert len(mixed) == 2
+        for a in mixed:
+            assert evaluate(Product(FiniteTable(a), FiniteTable(a))).exponent \
+                == evaluate(FiniteTable(product_table(a, a))).exponent == 6
 
     def test_non_clifford_count_of_a_product(self, pairs):
         overlaps = 0

@@ -123,6 +123,15 @@ def test_relabeling_data_is_read_from_perm(n):
             for w in range(n))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_equal_settle_pairs_are_one_object(n):
+    # one object per distinct (v, mask), so the cache holds at most
+    # n * 2^(n - 1) pairs however many relabelings share them
+    pairs = [pair for _, _, settles in _relabelings(n) for pair in settles]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+    assert len(set(pairs)) <= n * 2 ** (n - 1) < len(pairs)
+
+
 @lru_cache(maxsize=None)
 def classes(n):
     # one enumeration per order, shared by the orbit sum and the digest pin
