@@ -4,6 +4,11 @@ quotient, power, enumerate and suite, each printing a text report or, with
 descriptor expressions by `descriptors.parse_descriptor`.  Only `classify`
 reads descriptors, so only it loads the descriptor layer.
 
+A plain command line (a command, its own arguments, each option in full
+and at most once) is read straight from the command table, with no parser
+built.  Help, abbreviated options, `--opt=value` forms and every usage
+error go to argparse, so all help and usage text is argparse's.
+
 Exit codes: 0 success, 1 property-failure findings, 2 usage/parse errors.
 """
 
@@ -13,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from .classify import classify, explain
 from .core import (CayleyTable, PreconditionError, _decimal, _Digits,
@@ -27,6 +33,40 @@ from .quotients import (congruence_closure, quotient_by_congruence,
 
 
 # -- commands ----------------------------------------------------------------
+
+# The writers of `_json_chunks`: module functions, not closures, so that a
+# call leaves no reference cycle behind.  `digits` memoises int texts.
+
+_scalar = json.JSONEncoder().encode
+
+
+def _json_ints(xs, pad, digits):
+    inner = pad + "  "
+    body = (",\n" + inner).join(map(digits.__getitem__, xs))
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def _json_value(x, pad, digits):
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        body = sep.join([_scalar(k) + ": " + _json_value(x[k], inner, digits)
+                         for k in sorted(x)])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(x, CayleyTable):
+        body = sep.join([_json_ints(row, inner, digits) for row in x.op])
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if set(map(type, x)) == {int}:
+            return _json_ints(x, pad, digits)
+        body = sep.join([_json_value(v, inner, digits) for v in x])
+    else:
+        return _scalar(x)
+    return "[\n" + inner + body + "\n" + pad + "]"
+
 
 def _json_chunks(obj):
     """The text of json.dumps(obj, sort_keys=True, indent=2), written faster
@@ -45,52 +85,24 @@ def _json_chunks(obj):
     whole document is never held at once; deeper levels are written whole,
     which is faster.
     """
-    scalar = json.JSONEncoder().encode
     digits = _Digits()
-
-    def ints(xs, pad):
-        inner = pad + "  "
-        body = (",\n" + inner).join(map(digits.__getitem__, xs))
-        return "[\n" + inner + body + "\n" + pad + "]"
-
-    def write(x, pad):
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if isinstance(x, dict):
-            if not x:
-                return "{}"
-            body = sep.join([scalar(k) + ": " + write(x[k], inner)
-                             for k in sorted(x)])
-            return "{\n" + inner + body + "\n" + pad + "}"
-        if isinstance(x, CayleyTable):
-            body = sep.join([ints(row, inner) for row in x.op])
-        elif isinstance(x, (list, tuple)):
-            if not x:
-                return "[]"
-            if set(map(type, x)) == {int}:
-                return ints(x, pad)
-            body = sep.join([write(v, inner) for v in x])
-        else:
-            return scalar(x)
-        return "[\n" + inner + body + "\n" + pad + "]"
-
     if not isinstance(obj, dict) or not obj:
-        yield write(obj, "")
+        yield _json_value(obj, "", digits)
         return
     for i, k in enumerate(sorted(obj)):
-        yield ("{\n  " if i == 0 else ",\n  ") + scalar(k) + ": "
+        yield ("{\n  " if i == 0 else ",\n  ") + _scalar(k) + ": "
         v = obj[k]
         if isinstance(v, CayleyTable):
-            items, each = v.op, ints
+            items, each = v.op, _json_ints
         elif (isinstance(v, (list, tuple)) and v
               and set(map(type, v)) != {int}):
-            items, each = v, write
+            items, each = v, _json_value
         else:
-            yield write(v, "  ")
+            yield _json_value(v, "  ", digits)
             continue
         for j, item in enumerate(items):
             yield "[\n    " if j == 0 else ",\n    "
-            yield each(item, "    ")
+            yield each(item, "    ", digits)
         yield "\n  ]"
     yield "\n}"
 
@@ -350,85 +362,134 @@ def _int_option(text):
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
 
 
-def _register(p, func, table=True, require_associative=True):
-    """Finish a command's parser with what every command has: its table
-    file argument (when `table`), `--json` and the handler `main` calls.
+class _Command(NamedTuple):
+    """A command as both argv readers see it.  `options` maps each option
+    name, in help order, to (type, default, help); type bool is a flag.
+    Exactly one of the options `one_of` must be given.  `positional` is
+    "table" (a table file `main` loads), "expr" or None.
     `require_associative=False` lets the table file be non-associative."""
-    if table:
-        p.add_argument("table")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=func, takes_table=table,
-                   require_associative=require_associative)
+    summary: str
+    func: Callable
+    positional: Optional[str]
+    options: dict
+    one_of: tuple = ()
+    require_associative: bool = True
 
 
+_FLAG = (bool, False, None)
 _PROG = "sgclass"
 
-# The commands, in the order `sgclass -h` lists them, with their help lines.
+# The commands, in the order `sgclass -h` lists them.
 _COMMANDS = {
-    "validate": "check a table file for associativity and commutativity",
-    "analyze": "idempotents, natural order, h-classes, pi, center, chains",
-    "classify": "closedness verdicts for a descriptor expression",
-    "quotient": "Rees or congruence quotient of a table",
-    "power": "power semigroup of nonempty subsets",
-    "enumerate": "all commutative semigroups of one order",
-    "suite": "run every structural check on every table up to an order",
+    "validate": _Command(
+        "check a table file for associativity and commutativity",
+        cmd_validate, "table", {"--json": _FLAG}, require_associative=False),
+    "analyze": _Command(
+        "idempotents, natural order, h-classes, pi, center, chains",
+        cmd_analyze, "table", {"--json": _FLAG}),
+    "classify": _Command(
+        "closedness verdicts for a descriptor expression",
+        cmd_classify, "expr", {"--json": _FLAG}),
+    "quotient": _Command(
+        "Rees or congruence quotient of a table", cmd_quotient, "table",
+        {"--ideal": (str, None, "comma-separated element indices"),
+         "--pairs": (str, None, "comma-separated a=b pairs to identify"),
+         "--json": _FLAG}, one_of=("--ideal", "--pairs")),
+    "power": _Command(
+        "power semigroup of nonempty subsets",
+        cmd_power, "table", {"--json": _FLAG}),
+    "enumerate": _Command(
+        "all commutative semigroups of one order", cmd_enumerate, None,
+        {"--order": (_int_option, None, None), "--up-to-iso": _FLAG,
+         "--out": (str, None, "write tables into this directory"),
+         "--json": _FLAG}, one_of=("--order",)),
+    "suite": _Command(
+        "run every structural check on every table up to an order",
+        cmd_suite, None,
+        {"--max-order": (_int_option, 4, None),
+         "--out": (str, None, "directory for failure replay files"),
+         "--json": _FLAG}),
 }
 
 
-def _add_arguments(p, command):
-    """Give the parser `p` of `command` its arguments and handler."""
-    if command == "validate":
-        _register(p, cmd_validate, require_associative=False)
-    elif command == "analyze":
-        _register(p, cmd_analyze)
-    elif command == "classify":
-        p.add_argument("expr")
-        _register(p, cmd_classify, table=False)
-    elif command == "quotient":
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--ideal", help="comma-separated element indices")
-        group.add_argument("--pairs",
-                           help="comma-separated a=b pairs to identify")
-        _register(p, cmd_quotient)
-    elif command == "power":
-        _register(p, cmd_power)
-    elif command == "enumerate":
-        p.add_argument("--order", type=_int_option, required=True)
-        p.add_argument("--up-to-iso", action="store_true")
-        p.add_argument("--out", help="write tables into this directory")
-        _register(p, cmd_enumerate, table=False)
-    else:
-        p.add_argument("--max-order", type=_int_option, default=4)
-        p.add_argument("--out", help="directory for failure replay files")
-        _register(p, cmd_suite, table=False)
+def _add_arguments(p, spec):
+    """Give the parser `p` the arguments and handler of the command `spec`."""
+    exclusive = (p.add_mutually_exclusive_group(required=True)
+                 if len(spec.one_of) > 1 else p)
+    for name, (kind, default, text) in spec.options.items():
+        where = exclusive if name in spec.one_of else p
+        if kind is bool:
+            where.add_argument(name, action="store_true", help=text)
+        else:
+            where.add_argument(name, type=kind, default=default, help=text,
+                               required=spec.one_of == (name,))
+    if spec.positional:
+        p.add_argument(spec.positional)
+    p.set_defaults(func=spec.func, takes_table=spec.positional == "table",
+                   require_associative=spec.require_associative)
 
 
 def build_parser():
     """The full parser: every command's sub-parser with its arguments.
-    Built only for argv not led by a command, or with tokens left over."""
+    Built only for argv that `_read` leaves to argparse."""
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="Classify commutative semigroups for closedness and "
                     "analyze finite Cayley tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in _COMMANDS.items():
-        _add_arguments(sub.add_parser(command, help=summary), command)
+    for command, spec in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=spec.summary), spec)
     return parser
 
 
+def _read(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read
+    without a parser, when argv is plain: a command, then its own
+    positional argument and full option names in any order, each option at
+    most once, with every required option given and no value or positional
+    starting with "-".  None for any other argv."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    values = {name[2:].replace("-", "_"): default
+              for name, (_, default, _) in spec.options.items()}
+    given = set()
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token in given or token not in spec.options:
+            return None
+        given.add(token)
+        kind = spec.options[token][0]
+        value = True
+        if kind is not bool:
+            value = next(tokens, "-")  # a missing value reads as "-"
+            if value.startswith("-"):
+                return None
+            try:
+                value = kind(value)
+            except argparse.ArgumentTypeError:
+                return None
+        values[token[2:].replace("-", "_")] = value
+    if (len(positionals) != (1 if spec.positional else 0)
+            or spec.one_of and len(given.intersection(spec.one_of)) != 1):
+        return None
+    if spec.positional:
+        values[spec.positional] = positionals[0]
+    return argparse.Namespace(
+        command=argv[0], func=spec.func,
+        takes_table=spec.positional == "table",
+        require_associative=spec.require_associative, **values)
+
+
 def _parse_args(argv):
-    """`build_parser().parse_args(argv)`, building less.  No top-level
-    option takes a value, so the full parser hands a command-led argv's
-    tail unchanged to that command's parser: built alone, it gives the same
-    result unless tokens are left over, which the full parser reports."""
-    if argv and argv[0] in _COMMANDS:
-        p = argparse.ArgumentParser(prog=_PROG + " " + argv[0])
-        _add_arguments(p, argv[0])
-        args, rest = p.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    """`build_parser().parse_args(argv)`.  A plain argv (see `_read`) is
+    read directly, with no parser built; help, abbreviated options,
+    `--opt=value` forms and every usage error go to argparse."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

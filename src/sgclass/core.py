@@ -179,24 +179,22 @@ def natural_le(table, e, f) -> bool:
     return table.op[e][f] == e == table.op[f][e]
 
 
-def _max_clique(verts, adj, best=()):
+def _max_clique(verts, adj, best=(), chosen=()):
     """The lexicographically least largest clique within the bitmask
     `verts`, as an ascending tuple, if it is longer than `best`; else `best`.
+    Every clique is read as extending `chosen`, whose members precede
+    `verts` and are adjacent to all of it.
 
     adj[x] is the bitmask of the neighbours of x that follow x.  Branch and
     bound in lexicographic order, so the first clique of a size is kept.
     """
-    def extend(chosen, cands):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen
-        while cands and len(chosen) + cands.bit_count() > len(best):
-            low = cands & -cands
-            cands ^= low
-            x = low.bit_length() - 1
-            extend(chosen + (x,), cands & adj[x])
-
-    extend((), verts)
+    if len(chosen) > len(best):
+        best = chosen
+    while verts and len(chosen) + verts.bit_count() > len(best):
+        low = verts & -verts
+        verts ^= low
+        x = low.bit_length() - 1
+        best = _max_clique(verts & adj[x], adj, best, chosen + (x,))
     return best
 
 

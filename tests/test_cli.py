@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -751,7 +752,7 @@ class TestCommands:
         assert main(["analyze", "/nonexistent/nowhere.tbl"]) == 2
 
 
-# -- the per-command parser --------------------------------------------------
+# -- reading argv ------------------------------------------------------------
 
 def exit_outcome(f, argv):
     """What f(argv) returns, or the exit code it raises with stdout and
@@ -774,6 +775,12 @@ PARSE_CASES = [
     ["classify", "--", "-x"], ["validate", "--", "x.tbl"],
     ["validate", "x.tbl", "-h"], ["suite", "--max=2"],
     ["enumerate", "--ord=4", "--up"], ["quotient", "--pa", "1=2", "x.tbl"],
+    ["suite", "--json", "--max-order", "2"], ["enumerate", "--order", "x"],
+    ["enumerate", "--order", "-1"],
+    ["quotient", "--ideal", "0", "--pairs", "0=1", "x.tbl"],
+    ["quotient", "--ideal", "0", "--ideal", "1", "x.tbl"],
+    ["classify", ""], ["classify", "-"],
+    ["suite", "--out", "--json"], ["enumerate", "--json", "--order"],
 ]
 
 _ARGV_TOKENS = [*cli._COMMANDS, "-h", "--json", "--max-order", "--order",
@@ -781,10 +788,37 @@ _ARGV_TOKENS = [*cli._COMMANDS, "-h", "--json", "--max-order", "--order",
                 "x.tbl", "(null)", "bogus", "--json=1", "--max", "--up",
                 "--pa", "-", "1=2"]
 
+_ARGV_VALUES = ["", "-1", "3", " 3", "\u0663", "x.tbl", "1=2", "--json"]
+
+
+@st.composite
+def command_argv(draw):
+    """An argv built from the command table: a command, then each of its
+    options absent, present or given twice, and zero to two positionals,
+    in any order, every value drawn from `_ARGV_VALUES`.  Each option is
+    most often present once and the positionals most often as many as the
+    command takes, so that most argv differ from a plain one in one way."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    spec = cli._COMMANDS[command]
+
+    def count(usual):
+        return draw(st.one_of(st.just(usual), st.integers(0, 2)))
+
+    words = []
+    for name, (kind, _, _) in spec.options.items():
+        for _ in range(count(1)):
+            words.append([name] if kind is bool
+                         else [name, draw(st.sampled_from(_ARGV_VALUES))])
+    for _ in range(count(1 if spec.positional else 0)):
+        words.append([draw(st.sampled_from(_ARGV_VALUES))])
+    return [command, *(token for word in draw(st.permutations(words))
+                       for token in word)]
+
 
 class TestPerCommandParser:
     """`_parse_args(argv)` parses argv as `build_parser().parse_args` does:
-    same namespace, or same exit code, stdout and stderr."""
+    same namespace, or same exit code, stdout and stderr, whether `_read`
+    takes argv or leaves it to argparse."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -806,10 +840,27 @@ class TestPerCommandParser:
         assert (exit_outcome(cli._parse_args, argv)
                 == exit_outcome(cli.build_parser().parse_args, argv))
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command_argv())
+    def test_argv_from_the_command_table(self, argv):
+        assert (exit_outcome(cli._parse_args, argv)
+                == exit_outcome(cli.build_parser().parse_args, argv))
+
     @pytest.mark.parametrize("argv,built", [
-        (["classify", "(null)"], 1),  # the command's parser alone
-        (["-h"], 8),  # the full parser: the top level and seven commands
-        (["validate", "x.tbl", "--bogus"], 9),  # both: the full one reports
+        # plain argv of every shape the cli-mix workload runs: read directly
+        (["classify", "(null)"], 0),
+        (["classify", "(null)", "--json"], 0),
+        (["validate", "x.tbl"], 0),
+        (["validate", "x.tbl", "--json"], 0),
+        (["analyze", "x.tbl"], 0),
+        (["analyze", "x.tbl", "--json"], 0),
+        (["quotient", "--pairs", "0=1", "x.tbl", "--json"], 0),
+        (["quotient", "--ideal", "0,1", "x.tbl"], 0),
+        (["power", "x.tbl", "--json"], 0),
+        # the full parser: the top level and seven commands
+        (["-h"], 8),
+        (["validate", "x.tbl", "--bogus"], 8),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
     def test_parsers_built(self, argv, built, monkeypatch):
         calls = []
@@ -828,6 +879,38 @@ class TestPerCommandParser:
     def test_main_reads_an_iterator_once(self, argv):
         # each argv exits while parsing, so no command runs
         assert exit_outcome(main, iter(argv)) == exit_outcome(main, argv)
+
+
+class TestNoCyclicGarbage:
+    """A plain command leaves nothing for the cyclic collector: no parser,
+    and no self-referencing closure in the JSON writer or the clique
+    search."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "T"], ["analyze", "T"], ["analyze", "T", "--json"],
+        ["classify", "(product (null) (group (cyclic 2)))"],
+        ["classify", "(product (null) (group (cyclic 2)))", "--json"],
+        ["quotient", "--pairs", "0=1", "T", "--json"],
+        ["quotient", "--ideal", "0", "T"], ["power", "T", "--json"],
+        ["enumerate", "--order", "3", "--json"],
+        ["suite", "--max-order", "3", "--json"],
+    ], ids=" ".join)
+    def test_command_leaves_no_cycles(self, argv, l3_file):
+        argv = [l3_file if word == "T" else word for word in argv]
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+
+        gc.collect()
+        gc.disable()
+        try:
+            run()  # the first call may import and fill caches
+            gc.collect()
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def nested(depth, head="adjoin-zero", leaf="(null)"):
